@@ -33,8 +33,20 @@ import benchstats as bs  # noqa: E402
 # Each workload runs the whole user journey - fit a plan, serve a plan from
 # the daemon, score a large table out of core - at one scale. Sizes are
 # entities x mean logs per entity of the generated Tmall data.
+#
+# `shares` is the share of --seconds the fit, closed-loop and scoring windows
+# get. A window runs whole samples until its time is spent (at least two
+# fits and three scoring jobs), so a sample longer than its window still
+# runs the minimum. The shares go where a run's median needs them: the
+# host's speed drifts over seconds, and a median over a longer window
+# averages more of that drift. The open-loop window is set by the workload
+# instead: p99_windows windows of P99_WINDOW requests at open_rate. p99 of
+# 1,000 samples keeps ten beyond it; the traced run's serve.open_p99_ms is
+# the median of the windows' p99s.
 WORKLOADS = {
     # Model training is ~95% of this fit; serving and scoring run on small R.
+    # A fit takes ~7 s, so the fit window runs the minimum two; an 80 ms
+    # scoring job gets the long window.
     "xgb_small_r": {
         "model": "XGB", "fit_rows": 2000, "fit_logs": 15,
         "serve_entities": 1000, "serve_logs": 20,
@@ -42,22 +54,24 @@ WORKLOADS = {
         # About a third to a half of the closed-loop capacity measured at the
         # commit that added the benchmark (4-core x86-64 host).
         "open_rate": 300, "p99_windows": 3,
+        "shares": {"fit": 0.20, "closed": 0.15, "score": 0.40},
+        # Each set-up reads small files in ~0.1 s, so more repeats are cheap.
+        "setup_repeats": 7,
     },
     # Query kernels and the MI warm-up carry this fit (no trees); the daemon
-    # serves |R| = 1e5 and scoring streams |R| = 1e6 in morsels.
+    # serves |R| = 1e5 and scoring streams |R| = 1e6 in morsels. A fit takes
+    # ~3 s and gets the long window.
     "lr_large_r": {
         "model": "LR", "fit_rows": 4000, "fit_logs": 100,
         "serve_entities": 5000, "serve_logs": 20,
         "score_entities": 45000, "score_logs": 20,
         "open_rate": 60, "p99_windows": 1,
+        "shares": {"fit": 0.75, "closed": 0.15, "score": 0.15},
+        # Reading the scoring R alone takes ~4 s per set-up.
+        "setup_repeats": 3,
     },
 }
 
-# Share of --seconds the fit, closed-loop and scoring windows get. The
-# open-loop window is set by the workload instead: p99_windows windows of
-# P99_WINDOW requests at open_rate. p99 of 1,000 samples keeps ten beyond
-# it; the traced run's serve.open_p99_ms is the median of the windows' p99s.
-SHARES = {"fit": 0.20, "closed": 0.15, "score": 0.10}
 P99_WINDOW = 1000
 # Closed-loop throughput is the median over bins of this many seconds.
 RATE_BIN_S = 0.5
@@ -124,10 +138,11 @@ def run_mode(exe, args, cwd, timeout):
                    stderr=sys.stderr, timeout=timeout)
 
 
-def run_phase(exe, mode, args, cwd, timeout):
+def run_phase(exe, mode, args, cwd, timeout, setup_repeats):
     out = os.path.join(cwd, mode + ".json")
     try:
-        run_mode(exe, [mode, "--dir=.", "--out=" + out] + args, cwd, timeout)
+        run_mode(exe, [mode, "--dir=.", "--out=" + out,
+                       "--setup-repeats=%d" % setup_repeats] + args, cwd, timeout)
         with open(out) as f:
             return json.load(f)
     except (subprocess.SubprocessError, OSError, ValueError) as e:
@@ -315,6 +330,7 @@ def main():
         return 3
 
     secs = args.seconds
+    shares = w["shares"]
     open_s = w["p99_windows"] * P99_WINDOW / w["open_rate"]
     run_dir = os.path.join(RUNS, "%s-%d-%d" % (args.workload, args.seed,
                                                 os.getpid()))
@@ -339,15 +355,16 @@ def main():
         trace = "--trace=%d" % args.trace
         phases["fit"] = run_phase(
             exe, "fit", ["--model=" + w["model"], "--seed=%d" % args.fit_seed,
-                         "--seconds=%g" % (secs * SHARES["fit"]), trace],
-            run_dir, 150)
+                         "--seconds=%g" % (secs * shares["fit"]), trace],
+            run_dir, 150, w["setup_repeats"])
         phases["serve"] = run_phase(
             exe, "serve", ["--clients=%d" % nproc(),
-                           "--closed-seconds=%g" % (secs * SHARES["closed"]),
-                           "--open-seconds=%g" % open_s, trace], run_dir, 150)
+                           "--closed-seconds=%g" % (secs * shares["closed"]),
+                           "--open-seconds=%g" % open_s, trace], run_dir, 150,
+            w["setup_repeats"])
         phases["score"] = run_phase(
-            exe, "score", ["--seconds=%g" % (secs * SHARES["score"]), trace],
-            run_dir, 150)
+            exe, "score", ["--seconds=%g" % (secs * shares["score"]), trace],
+            run_dir, 150, w["setup_repeats"])
     except (subprocess.SubprocessError, OSError) as e:
         log("perfbench: input generation failed: %s" % e)
         return 1

@@ -10,6 +10,8 @@
 ///                   --trace=0|1 --out=F
 ///   perfbench score --dir=D --seconds=S --trace=0|1 --out=F
 ///
+/// Every timed mode also takes --setup-repeats=N (default 3).
+///
 /// `gen` writes every input (D, R, plans, serve batches, the open-loop
 /// arrival schedule) to files under D before any timing starts; the timed
 /// modes read only those files. Each timed mode writes one JSON object of
@@ -22,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -67,7 +70,6 @@ constexpr size_t kServeBatchPool = 256;
 constexpr size_t kScoreBatchRows = 4096;
 constexpr size_t kScoreMorselRows = 65536;
 constexpr size_t kPlanQueries = 20;
-constexpr int kSetupRepeats = 3;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -122,6 +124,11 @@ Flags ParseFlags(int argc, char** argv) {
     flags.values[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
   }
   return flags;
+}
+
+/// How many times a timed mode repeats its set-up; setup_s is their median.
+int SetupRepeats(const Flags& flags) {
+  return std::max(1, static_cast<int>(flags.Num("setup-repeats", 3)));
 }
 
 // ---------------------------------------------------------------- JSON out
@@ -344,12 +351,63 @@ AugmentationPlan MakeServingPlan(const Table& relevant, uint64_t seed) {
   return plan;
 }
 
+/// Writes `table` as WriteCsv does, byte for byte (`%lld` integers, `%.17g`
+/// doubles, the same quoting), but through std::to_chars into one buffer:
+/// input generation is untimed, and WriteCsv's per-field formatting made it
+/// a large share of a run on the big tables.
+void WriteCsvFast(const Table& table, const std::string& path) {
+  auto quote = [](const std::string& s, std::string* out) {
+    if (s.find_first_of(",\"\n\r") == std::string::npos) {
+      *out += s;
+      return;
+    }
+    *out += '"';
+    for (char c : s) {
+      if (c == '"') *out += '"';
+      *out += c;
+    }
+    *out += '"';
+  };
+  std::string out;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (c > 0) out += ',';
+    quote(table.NameAt(c), &out);
+  }
+  out += '\n';
+  char buf[64];
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (c > 0) out += ',';
+      const Column& col = table.ColumnAt(c);
+      if (col.IsNull(r)) continue;
+      switch (col.type()) {
+        case DataType::kInt64:
+        case DataType::kDatetime:
+        case DataType::kBool:
+          out.append(buf, std::to_chars(buf, buf + sizeof(buf), col.IntAt(r)).ptr);
+          break;
+        case DataType::kDouble:
+          out.append(buf, std::to_chars(buf, buf + sizeof(buf), col.DoubleAt(r),
+                                        std::chars_format::general, 17).ptr);
+          break;
+        case DataType::kString:
+          quote(col.StringAt(r), &out);
+          break;
+      }
+    }
+    out += '\n';
+  }
+  std::ofstream f(path, std::ios::binary);
+  f << out;
+  if (!f.good()) Die("write " + path, Status::IOError(path));
+}
+
 /// Writes a Tmall relevant table to CSV, re-reads it (the types the program
 /// will see) and writes a generated plan validated against it.
 void WritePlanPair(const Table& relevant, uint64_t seed,
                    const std::string& relevant_path,
                    const std::string& plan_path) {
-  CheckOk(WriteCsv(relevant, relevant_path), "write " + relevant_path);
+  WriteCsvFast(relevant, relevant_path);
   // Column types as ReadCsv infers them; the head is enough for a schema
   // and a pool of operand values.
   const std::string text = OrDie(ReadFileToString(relevant_path), "reread relevant");
@@ -404,10 +462,10 @@ int RunGen(const Flags& flags) {
   fit_opts.n_train = static_cast<size_t>(flags.Num("fit-rows", 2000));
   fit_opts.avg_logs_per_entity = flags.Num("fit-logs", 15);
   fit_opts.seed = static_cast<uint64_t>(flags.Num("fit-seed", 1));
-  {
+  auto gen_fit = [&] {
     const DatasetBundle fit = MakeTmall(fit_opts);
-    CheckOk(WriteCsv(fit.training, dir + "/fit.train.csv"), "write fit D");
-    CheckOk(WriteCsv(fit.relevant, dir + "/fit.relevant.csv"), "write fit R");
+    WriteCsvFast(fit.training, dir + "/fit.train.csv");
+    WriteCsvFast(fit.relevant, dir + "/fit.relevant.csv");
     std::vector<std::string> aggs;
     for (AggFunction fn : fit.agg_functions) aggs.push_back(AggFunctionName(fn));
     std::ofstream spec(dir + "/fit.problem.txt");
@@ -418,7 +476,7 @@ int RunGen(const Flags& flags) {
          << "agg_functions=" << JoinList(aggs) << "\n"
          << "where=" << JoinList(fit.where_candidates) << "\n";
     if (!spec.good()) Die("write fit spec", Status::IOError(dir));
-  }
+  };
 
   // Serve inputs: the registry's <name>.sql + <name>.relevant.csv pair,
   // a pool of 32-row batches with Zipf-skewed keys (about 5% absent from
@@ -427,7 +485,7 @@ int RunGen(const Flags& flags) {
   serve_opts.n_train = static_cast<size_t>(flags.Num("serve-entities", 10000));
   serve_opts.avg_logs_per_entity = flags.Num("serve-logs", 20);
   serve_opts.seed = seed * 7919 + 1;
-  {
+  auto gen_serve = [&] {
     const DatasetBundle serve = MakeTmall(serve_opts);
     std::filesystem::create_directories(dir + "/plans");
     WritePlanPair(serve.relevant, seed * 31 + 2,
@@ -464,7 +522,7 @@ int RunGen(const Flags& flags) {
     CheckOk(batches.AddColumn("user_id", std::move(b_user)), "batches");
     CheckOk(batches.AddColumn("merchant_id", std::move(b_merchant)), "batches");
     CheckOk(batches.AddColumn("age", std::move(b_age)), "batches");
-    CheckOk(WriteCsv(batches, dir + "/serve.batches.csv"), "write batches");
+    WriteCsvFast(batches, dir + "/serve.batches.csv");
 
     // Requests are due at a fixed rate (evenly spaced, so the tail measures
     // service and interference rather than arrival bursts); the seed picks
@@ -478,20 +536,27 @@ int RunGen(const Flags& flags) {
             << rng.UniformInt(kServeBatchPool) << "\n";
     }
     if (!sched.good()) Die("write schedule", Status::IOError(dir));
-  }
+  };
 
   // Score inputs: a large R, its plan, and the D to score.
   SyntheticOptions score_opts;
   score_opts.n_train = static_cast<size_t>(flags.Num("score-entities", 50000));
   score_opts.avg_logs_per_entity = flags.Num("score-logs", 20);
   score_opts.seed = seed * 104729 + 4;
-  {
+  auto gen_score = [&] {
     DatasetBundle score = MakeTmall(score_opts);
     CheckOk(score.training.DropColumn("label"), "score D");
-    CheckOk(WriteCsv(score.training, dir + "/score.train.csv"), "write score D");
+    WriteCsvFast(score.training, dir + "/score.train.csv");
     WritePlanPair(score.relevant, seed * 37 + 5, dir + "/score.relevant.csv",
                   dir + "/score.sql");
-  }
+  };
+
+  // The three input sets are independent and generation is untimed, so
+  // they are made side by side.
+  std::thread fit_thread(gen_fit), serve_thread(gen_serve);
+  gen_score();
+  fit_thread.join();
+  serve_thread.join();
   return 0;
 }
 
@@ -574,7 +639,7 @@ int RunFit(const Flags& flags) {
   // Set-up: input files on disk to tables in memory.
   Table training, relevant;
   std::vector<double> setup_s;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  for (int i = 0; i < SetupRepeats(flags); ++i) {
     ScopedSpan span(&tracer, "table.csv_read");
     const auto t0 = Clock::now();
     training = OrDie(ReadCsv(dir + "/fit.train.csv"), "read fit D");
@@ -795,7 +860,7 @@ int RunServe(const Flags& flags) {
   // relevant CSV and compiles the plan.
   std::unique_ptr<serve::PlanRegistry> registry;
   std::vector<double> setup_s, load_s;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  for (int i = 0; i < SetupRepeats(flags); ++i) {
     const auto t0 = Clock::now();
     registry = std::make_unique<serve::PlanRegistry>();
     CheckOk(registry->DiscoverPlans(dir + "/plans"), "discover");
@@ -1001,7 +1066,7 @@ int RunScore(const Flags& flags) {
   Table relevant;
   AugmentationPlan plan;
   std::vector<double> setup_s, csv_s;
-  for (int i = 0; i < kSetupRepeats; ++i) {
+  for (int i = 0; i < SetupRepeats(flags); ++i) {
     const auto t0 = Clock::now();
     {
       ScopedSpan span(&tracer, "table.csv_read");
