@@ -209,9 +209,9 @@ std::unique_ptr<FittedAugmenter> MakeWarmHandle(
 }
 
 // The cross-batch plan-cache comparison: a fresh planner per batch re-pays
-// every group-index / mask / view / materialization build (the cost model
-// of the pre-handle Apply path), while the warm FittedAugmenter only binds
-// the batch's training-row maps and runs kernels. Arg(0): 0 = cold, 1 = warm.
+// every group-index / mask / view / materialization build and aggregate,
+// while the warm FittedAugmenter only maps the batch's keys and scatters
+// its frozen per-group values. Arg(0): 0 = cold, 1 = warm.
 void BM_TransformWarmVsCold(benchmark::State& state) {
   const DatasetBundle& b = SharedBundle();
   const std::vector<AggQuery> candidates = TemplateCandidates(b);
@@ -735,8 +735,8 @@ int WriteExecutorSpeedupRecord(const char* path,
                                 : 0.0;
 
   // Serving: the same plan applied to successive batches, cold (fresh
-  // planner per batch, the pre-handle Apply cost model) vs warm (one
-  // FittedAugmenter compiled once — the cross-batch plan cache). Outputs
+  // planner per batch) vs warm (one FittedAugmenter compiled once, its
+  // per-group values frozen). Outputs
   // are verified bit-identical before timing; both arms run serial.
   constexpr size_t kServingBatches = 8;
   constexpr int kServingRepeats = 3;

@@ -19,9 +19,11 @@
 /// `department` attribute that only exists two lookups away.
 
 #include <cstdio>
+#include <memory>
 
 #include "bench/harness.h"
 #include "common/str_util.h"
+#include "core/augmenter.h"
 #include "core/multi_table.h"
 #include "data/multi_table_data.h"
 #include "ml/evaluator.h"
@@ -85,7 +87,9 @@ Result<double> RunVariant(const BenchConfig& config, const MultiTableBundle& bun
   const Table training = problem.training;
   MultiTableFeatAug feataug(std::move(problem), options);
   FEAT_ASSIGN_OR_RETURN(MultiTablePlan plan, feataug.Fit());
-  FEAT_ASSIGN_OR_RETURN(Table augmented, feataug.Apply(plan, training));
+  FEAT_ASSIGN_OR_RETURN(std::unique_ptr<FittedAugmenter> fitted,
+                        feataug.MakeFitted(plan));
+  FEAT_ASSIGN_OR_RETURN(Table augmented, fitted->Transform(training));
   return TestMetric(augmented, bundle.label_col, config.seed);
 }
 
@@ -179,7 +183,9 @@ int Run(const BenchConfig& config) {
       FeatAug feataug(std::move(problem), options);
       auto plan = feataug.Fit();
       if (!plan.ok()) return 1;
-      auto augmented = feataug.Apply(plan.value(), training);
+      auto fitted = feataug.MakeFitted(plan.value());
+      if (!fitted.ok()) return 1;
+      auto augmented = fitted.value()->Transform(training);
       if (!augmented.ok()) return 1;
       auto metric = TestMetric(augmented.value(), bundle.label_col, config.seed);
       if (!metric.ok()) return 1;

@@ -7,14 +7,6 @@
 /// finds, and materializes the augmented training table (Def. 3) through
 /// the long-lived FittedAugmenter serving handle (transform many times).
 ///
-/// Migration from the pre-Augmenter API (old call -> new call):
-///
-///   FeatAug(problem, opts) + Fit()      -> MakeFeatAugAugmenter(...)->Fit()
-///   feataug.Apply(plan, batch)          -> fitted->Transform(batch)
-///   feataug.ApplyToDataset(plan, batch) -> fitted->TransformToDataset(...)
-///   per-batch loop over Apply           -> fitted->TransformMany(batches)
-///   ReadAugmentationPlan + Apply        -> LoadFittedAugmenter(path, R)
-///
 ///   ./quickstart
 
 #include <cstdio>

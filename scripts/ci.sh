@@ -14,6 +14,11 @@ cmake -B "$ROOT/build" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$ROOT/build" -j "$JOBS"
 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
 
+# ---- End-to-end benchmark: unit tests of its statistics ---------------------
+# (perfbench/benchstats.py decides gains and regressions from run records;
+# its arithmetic is pinned here without running the benchmark itself.)
+python3 "$ROOT/perfbench/test_benchstats.py"
+
 # ---- Kernel-backend pinning: goldens + parity under scalar and simd --------
 # (Backend choice is a pure performance knob: the recorded goldens and the
 # dispatch parity sweep must pass byte-identically with either table pinned

@@ -32,7 +32,7 @@ struct FeatAugConfig {
   int num_threads = 0;
 
   /// Kernel backend for the candidate-evaluation fan-out, predicate-mask
-  /// builds, and serving Transform. Resolution order mirrors num_threads:
+  /// builds, and serving-plan compiles. Resolution order mirrors num_threads:
   /// the FEATLIB_KERNEL_BACKEND environment variable (scalar|simd|auto),
   /// then this field, then auto. Per-planner overrides
   /// (QueryPlanner::set_kernel_backend) beat both.

@@ -35,13 +35,12 @@ Result<std::unique_ptr<FittedAugmenter>> FittedAugmenter::Create(
       out->valid_metrics_.push_back(
           i < src.valid_metrics.size() ? src.valid_metrics[i] : std::nan(""));
     }
-    // The warm prepare: every relevant-side artifact is built and published
-    // here, once. The planner is never touched again (all serving reads go
-    // through the frozen ServingPlan), which keeps the store's pointers
-    // stable and the handle safe to share across threads.
-    per->planner.set_thread_pool(GlobalThreadPool());
-    FEAT_ASSIGN_OR_RETURN(
-        per->serving, per->planner.CompileServingPlan(src.queries, src.relevant));
+    // The plan owns its per-group values and key maps, so the planner's
+    // whole-table artifacts die with it at the end of this iteration.
+    QueryPlanner planner;
+    planner.set_thread_pool(GlobalThreadPool());
+    FEAT_ASSIGN_OR_RETURN(per->serving,
+                          planner.CompileServingPlan(src.queries, src.relevant));
     out->sources_.push_back(std::move(per));
   }
   return std::move(out);
@@ -152,6 +151,23 @@ Result<Dataset> FittedAugmenter::TransformToDataset(
     FEAT_RETURN_NOT_OK(ds.AddFeature(name, columns[i]));
   }
   return ds;
+}
+
+size_t FittedAugmenter::SizeBytes() const {
+  size_t bytes = 0;
+  for (const auto& per : sources_) {
+    const Table& relevant = per->src.relevant;
+    for (size_t c = 0; c < relevant.num_columns(); ++c) {
+      bytes += relevant.ColumnAt(c).SizeBytes();
+    }
+    for (const auto& values : per->serving.per_group_features) {
+      bytes += values.capacity() * sizeof(double);
+    }
+    for (const auto& index : per->serving.owned_indexes) {
+      bytes += index->SizeBytes();
+    }
+  }
+  return bytes;
 }
 
 std::vector<AggQuery> FittedAugmenter::AllQueries() const {

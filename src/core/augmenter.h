@@ -14,14 +14,13 @@
 ///   FEAT_ASSIGN_OR_RETURN(auto fitted, aug->Fit());       // fit once
 ///   FEAT_ASSIGN_OR_RETURN(Table out, fitted->Transform(batch));   // many times
 ///
-/// `FittedAugmenter` owns a warm QueryPlanner per relevant table whose
-/// ArtifactStore holds the plan's artifacts (group indexes, predicate
-/// masks, value views, bucket materializations) compiled exactly once at
-/// creation. `Transform` only binds the batch-dependent training-row maps
-/// (call-local) and runs the pure per-candidate kernels, so repeated
-/// serving/HPO batches never re-plan, and concurrent `Transform` calls
-/// from any number of threads are safe and byte-identical to serial
-/// execution (see docs/ARCHITECTURE.md, "API layer").
+/// `FittedAugmenter` holds one frozen ServingPlan per relevant table: each
+/// query's per-group values, computed exactly once at creation, plus the
+/// key maps that look them up. `Transform` only maps the batch's join keys
+/// to group ids (call-local) and scatters the frozen values, so repeated
+/// serving/HPO batches never re-plan or re-aggregate, and concurrent
+/// `Transform` calls from any number of threads are safe and byte-identical
+/// to serial execution (see docs/ARCHITECTURE.md, "API layer").
 ///
 /// Implementations: FeatAug (MakeFeatAugAugmenter), MultiTableFeatAug
 /// (MakeMultiTableAugmenter) here; the four baselines (Random,
@@ -73,10 +72,9 @@ struct FitDiagnostics {
 
 /// \brief Long-lived serving handle for a fitted augmentation plan.
 ///
-/// Immutable after Create: all mutable planner state is built there, so
-/// every public method is const and safe to call concurrently from multiple
-/// threads on one shared instance. Outputs are byte-identical to serial
-/// execution at every thread count.
+/// Immutable after Create, so every public method is const and safe to call
+/// concurrently from multiple threads on one shared instance. Outputs are
+/// byte-identical to serial execution at every thread count.
 class FittedAugmenter {
  public:
   /// One relevant table's slice of the plan. `name` qualifies feature
@@ -91,10 +89,11 @@ class FittedAugmenter {
     std::vector<double> valid_metrics;
   };
 
-  /// Compiles every source's queries into a frozen ServingPlan (the warm
-  /// prepare: group indexes, predicate masks, value views and bucket
-  /// materializations are built here, once). Feature names are qualified
-  /// and deduplicated within the plan (suffix rule "_2", "_3", ...).
+  /// Compiles every source's queries into a frozen ServingPlan: the
+  /// per-group values are computed here, once, by a planner local to this
+  /// call, whose artifacts are freed before it returns. Feature names are
+  /// qualified and deduplicated within the plan (suffix rule "_2", "_3",
+  /// ...).
   static Result<std::unique_ptr<FittedAugmenter>> Create(
       std::vector<Source> sources, FitDiagnostics diagnostics = {});
 
@@ -155,6 +154,10 @@ class FittedAugmenter {
   size_t num_sources() const { return sources_.size(); }
   const FitDiagnostics& diagnostics() const { return diag_; }
 
+  /// Resident heap bytes of the handle's serving state: every source's
+  /// relevant-table columns, frozen per-group values and key maps.
+  size_t SizeBytes() const;
+
   /// Pool for the per-call kernel fan-out (and across TransformMany
   /// batches). Defaults to GlobalThreadPool(); set before sharing the
   /// handle across threads. nullptr = inline execution.
@@ -163,8 +166,7 @@ class FittedAugmenter {
  private:
   struct PerSource {
     Source src;
-    QueryPlanner planner;  // frozen after Create (its store holds the plan)
-    ServingPlan serving;
+    ServingPlan serving;  // borrows src.relevant
   };
 
   FittedAugmenter() = default;

@@ -115,21 +115,10 @@ class MultiTableFeatAug {
   Result<std::unique_ptr<FittedAugmenter>> FitAugmenter();
 
   /// Wraps a merged plan in a serving handle with one source per relevant
-  /// table (features qualified "<table>__<feature>"); all tables' artifacts
-  /// are compiled once and reused by every Transform.
+  /// table (features qualified "<table>__<feature>"); every table's
+  /// per-group values are computed once and looked up by every Transform.
   Result<std::unique_ptr<FittedAugmenter>> MakeFitted(
       const MultiTablePlan& plan) const;
-
-  /// Appends every table's plan features to `training` (names qualified as
-  /// "<table>__<feature>").
-  /// \deprecated Shim over MakeFitted()->Transform(): re-plans per call.
-  Result<Table> Apply(const MultiTablePlan& plan, const Table& training) const;
-
-  /// Builds the augmented Dataset (base features + every table's plan
-  /// features) aligned to `training` rows, ready for downstream training.
-  /// \deprecated Shim over MakeFitted()->TransformToDataset().
-  Result<Dataset> ApplyToDataset(const MultiTablePlan& plan,
-                                 const Table& training) const;
 
  private:
   /// Probe for kProxyWeighted: best proxy score over the table's

@@ -54,6 +54,15 @@ size_t KeyMapEntryBytes(const std::string& key) {
          4 * sizeof(void*);
 }
 
+/// Whether two key columns are read with the same Column accessor (IntAt,
+/// DoubleAt or CodeAt). The int-backed types share one storage.
+bool SameKeyStorage(DataType a, DataType b) {
+  auto storage = [](DataType t) {
+    return t == DataType::kDouble ? 1 : t == DataType::kString ? 2 : 0;
+  };
+  return storage(a) == storage(b);
+}
+
 /// Resolves the group-key columns of one (morsel) table, in key order.
 Result<std::vector<const Column*>> ResolveKeyColumns(
     const Table& table, const std::vector<std::string>& group_keys) {
@@ -111,10 +120,12 @@ Result<std::vector<uint32_t>> GroupIndex::MapTrainingRows(
     }
     FEAT_ASSIGN_OR_RETURN(const Column* r_col, relevant.GetColumn(k));
     KeyColumnPair p{d_col.value(), r_col, {}};
+    // Training cells are read with the relevant column's accessor, which
+    // aborts on a column of any other storage.
+    if (!SameKeyStorage(p.d_col->type(), r_col->type())) {
+      return Status::InvalidArgument("join key type mismatch on " + k);
+    }
     if (r_col->type() == DataType::kString) {
-      if (p.d_col->type() != DataType::kString) {
-        return Status::InvalidArgument("join key type mismatch on " + k);
-      }
       const auto& d_dict = p.d_col->dictionary();
       p.code_map.resize(d_dict.size());
       for (size_t i = 0; i < d_dict.size(); ++i) {
@@ -160,6 +171,14 @@ Result<std::vector<uint32_t>> GroupIndex::MapTrainingRows(
     auto it = group_of_key_.find(key);
     if (it != group_of_key_.end()) out[row] = it->second;
   }
+  return out;
+}
+
+GroupIndex GroupIndex::KeyMapOnly() const {
+  GroupIndex out;
+  out.group_keys_ = group_keys_;
+  out.group_of_key_ = group_of_key_;
+  out.num_groups_ = num_groups_;
   return out;
 }
 

@@ -57,6 +57,10 @@ class GroupIndex {
   Result<std::vector<uint32_t>> MapTrainingRows(const Table& training,
                                                 const Table& relevant) const;
 
+  /// A copy holding only the key map (row_groups() empty): all a frozen
+  /// serving plan needs to map batch rows onto this index's group ids.
+  GroupIndex KeyMapOnly() const;
+
   /// Actual heap footprint (row-group array + key-map nodes), the number
   /// charged against an ExecContext memory budget. Deterministic for a given
   /// build (walks the key map; O(num_groups)).

@@ -1062,13 +1062,9 @@ Result<ServingPlan> QueryPlanner::CompileServingPlan(
     const ExecContext* ctx) {
   ServingPlan plan;
   plan.relevant = &relevant;
-  plan.kernel_backend = kernel_backend_;
   if (ResolvedMorselRows() != 0) {
-    // Morsel mode freezes the per-group values at compile time: the relevant
-    // table is streamed once under the memory bound, and serving keeps only
-    // the per-group features plus the key-map-only indexes (owned by the
-    // plan — never published into the store, whose consumers expect per-row
-    // ids). Execution degenerates to per-batch map + scatter.
+    // The relevant table is streamed once under the memory bound; the
+    // morsel pipeline already yields key-map-only indexes.
     ops_ = &ResolveKernelOps(kernel_backend_);
     MorselOptions options;
     options.morsel_rows = ResolvedMorselRows();
@@ -1082,27 +1078,45 @@ Result<ServingPlan> QueryPlanner::CompileServingPlan(
     plan_stats_ = PlanStats{};
     plan_stats_.candidates = queries.size();
     plan_stats_.morsels = streamed.stats.morsels;
-    plan.morsel_streamed = true;
     plan.per_group_features = std::move(streamed.per_group);
     plan.owned_indexes = std::move(streamed.group_indexes);
     plan.candidate_group = std::move(streamed.candidate_group);
-    plan.group_indexes.reserve(plan.owned_indexes.size());
-    for (const auto& index : plan.owned_indexes) {
-      plan.group_indexes.push_back(index.get());
-    }
     return plan;
   }
   morsel_stats_ = MorselExecStats{};
   store_.BeginEpoch();
-  FEAT_ASSIGN_OR_RETURN(plan.candidates,
+  FEAT_ASSIGN_OR_RETURN(std::vector<PlannedCandidate> planned,
                         Prepare(queries, /*training=*/nullptr, relevant,
                                 /*for_grouped_result=*/false, ctx));
+  // The plan keeps copies of the store's key maps, never pointers into the
+  // store, so it outlives this planner.
   std::unordered_map<const GroupIndex*, size_t> distinct;
-  plan.candidate_group.reserve(plan.candidates.size());
-  for (const PlannedCandidate& p : plan.candidates) {
-    auto [it, inserted] = distinct.emplace(p.index, plan.group_indexes.size());
-    if (inserted) plan.group_indexes.push_back(p.index);
+  plan.candidate_group.reserve(planned.size());
+  for (const PlannedCandidate& p : planned) {
+    auto [it, inserted] = distinct.emplace(p.index, plan.owned_indexes.size());
+    if (inserted) {
+      plan.owned_indexes.push_back(
+          std::make_shared<const GroupIndex>(p.index->KeyMapOnly()));
+    }
     plan.candidate_group.push_back(it->second);
+  }
+  // The per-group half of the fan-out kernel, once per query.
+  plan.per_group_features.resize(planned.size());
+  auto run_one = [&](size_t i) {
+    const PlannedCandidate& p = planned[i];
+    plan.per_group_features[i] =
+        p.mat != nullptr
+            ? ops_->aggregate_from_materialized(p.query->agg, *p.mat)
+            : ops_->aggregate_streaming(p.query->agg, *p.index, p.mask,
+                                        p.view, nullptr);
+  };
+  if (pool_ != nullptr) {
+    FEAT_RETURN_NOT_OK(pool_->ParallelFor(planned.size(), run_one, 0, ctx));
+  } else {
+    for (size_t i = 0; i < planned.size(); ++i) {
+      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
+      run_one(i);
+    }
   }
   return plan;
 }
@@ -1113,49 +1127,14 @@ Result<std::vector<std::vector<double>>> ExecuteServingPlan(
   if (plan.relevant == nullptr) {
     return Status::InvalidArgument("serving plan was never compiled");
   }
-  if (plan.morsel_streamed) {
-    // Per-group values were frozen at compile time; execution is the map +
-    // scatter tail only. Still const over the plan — concurrent calls share
-    // the frozen vectors read-only.
-    FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
-        ctx,
-        plan.per_group_features.size() * batch.num_rows() * sizeof(double)));
-    std::vector<std::vector<uint32_t>> train_maps;
-    train_maps.reserve(plan.group_indexes.size());
-    for (const GroupIndex* index : plan.group_indexes) {
-      FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      FEAT_RETURN_NOT_OK(FaultPoint("prepare.train_map"));
-      FEAT_ASSIGN_OR_RETURN(std::vector<uint32_t> map,
-                            index->MapTrainingRows(batch, *plan.relevant));
-      train_maps.push_back(std::move(map));
-    }
-    std::vector<std::vector<double>> out(plan.per_group_features.size());
-    std::vector<Status> scatter_errors(out.size());
-    auto scatter_one = [&](size_t i) {
-      scatter_errors[i] = FaultPoint("exec.kernel");
-      if (!scatter_errors[i].ok()) return;
-      out[i] = ScatterPerGroup(plan.per_group_features[i],
-                               train_maps[plan.candidate_group[i]]);
-    };
-    if (pool != nullptr) {
-      FEAT_RETURN_NOT_OK(pool->ParallelFor(out.size(), scatter_one, 0, ctx));
-    } else {
-      for (size_t i = 0; i < out.size(); ++i) {
-        FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-        scatter_one(i);
-      }
-    }
-    for (const Status& s : scatter_errors) FEAT_RETURN_NOT_OK(s);
-    return out;
-  }
   FEAT_RETURN_NOT_OK(ExecContext::ChargeFor(
-      ctx, plan.candidates.size() * batch.num_rows() * sizeof(double)));
-  // The only batch-dependent artifacts: one training-row map per distinct
-  // group index, built into call-local storage (the shared store is never
-  // touched, which is what makes concurrent execution safe).
+      ctx, plan.per_group_features.size() * batch.num_rows() * sizeof(double)));
+  // The only batch-dependent step: one training-row map per group index,
+  // built into call-local storage (the plan is only read, which is what
+  // makes concurrent execution safe).
   std::vector<std::vector<uint32_t>> train_maps;
-  train_maps.reserve(plan.group_indexes.size());
-  for (const GroupIndex* index : plan.group_indexes) {
+  train_maps.reserve(plan.owned_indexes.size());
+  for (const auto& index : plan.owned_indexes) {
     FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
     FEAT_RETURN_NOT_OK(FaultPoint("prepare.train_map"));
     FEAT_ASSIGN_OR_RETURN(std::vector<uint32_t> map,
@@ -1163,28 +1142,23 @@ Result<std::vector<std::vector<double>>> ExecuteServingPlan(
     train_maps.push_back(std::move(map));
   }
 
-  // Serving dispatches like the fit path: the plan's captured override
-  // first, then FEATLIB_KERNEL_BACKEND / FeatAugConfig at execution time.
-  const KernelOps& ops = ResolveKernelOps(plan.kernel_backend);
-  std::vector<std::vector<double>> out(plan.candidates.size());
-  std::vector<Status> kernel_errors(plan.candidates.size());
-  auto run_one = [&](size_t i) {
-    kernel_errors[i] = FaultPoint("exec.kernel");
-    if (!kernel_errors[i].ok()) return;
-    PlannedCandidate p = plan.candidates[i];
-    p.train_map = &train_maps[plan.candidate_group[i]];
-    out[i] = ops.compute_feature(p);
+  std::vector<std::vector<double>> out(plan.per_group_features.size());
+  std::vector<Status> scatter_errors(out.size());
+  auto scatter_one = [&](size_t i) {
+    scatter_errors[i] = FaultPoint("exec.kernel");
+    if (!scatter_errors[i].ok()) return;
+    out[i] = ScatterPerGroup(plan.per_group_features[i],
+                             train_maps[plan.candidate_group[i]]);
   };
   if (pool != nullptr) {
-    FEAT_RETURN_NOT_OK(pool->ParallelFor(plan.candidates.size(), run_one, 0,
-                                         ctx));
+    FEAT_RETURN_NOT_OK(pool->ParallelFor(out.size(), scatter_one, 0, ctx));
   } else {
-    for (size_t i = 0; i < plan.candidates.size(); ++i) {
+    for (size_t i = 0; i < out.size(); ++i) {
       FEAT_RETURN_NOT_OK(ExecContext::CheckFor(ctx));
-      run_one(i);
+      scatter_one(i);
     }
   }
-  for (const Status& s : kernel_errors) FEAT_RETURN_NOT_OK(s);
+  for (const Status& s : scatter_errors) FEAT_RETURN_NOT_OK(s);
   return out;
 }
 

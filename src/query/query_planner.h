@@ -78,58 +78,40 @@ struct KernelOps;
 
 /// \brief A frozen, batch-independent query plan for repeated serving.
 ///
-/// Every candidate is resolved to store-owned const artifacts (group index,
-/// selection mask, value view or bucket materialization) — everything that
-/// depends only on the *relevant* table. The one batch-dependent artifact,
-/// the training-row map, is deliberately left unbound: ExecuteServingPlan
-/// builds it per incoming batch into call-local storage, so any number of
-/// threads can execute the same ServingPlan concurrently without touching
-/// the planner or its store.
+/// A fitted feature is a LEFT JOIN of the batch onto the result of a
+/// group-by query over the relevant table, and that result depends on the
+/// relevant table alone. CompileServingPlan therefore computes every
+/// query's per-group values once and freezes them here together with the
+/// key maps needed to look them up. ExecuteServingPlan maps each incoming
+/// batch's join keys to group ids (call-local storage) and scatters the
+/// frozen values, so any number of threads can execute the same plan
+/// concurrently.
 ///
-/// Validity: the pointers live in the compiling QueryPlanner's store and in
-/// the caller's query vector. They stay valid while (a) the planner and the
-/// query vector outlive the plan and (b) no further Prepare/Evaluate call
-/// runs on that planner (a later publish may evict byte-capped entries).
-/// FittedAugmenter (core/augmenter.h) owns exactly this pairing.
+/// Validity: the plan owns everything it reads except `relevant`, which
+/// must outlive it. The compiling QueryPlanner and the query vector may be
+/// destroyed as soon as CompileServingPlan returns.
 struct ServingPlan {
-  /// Per-candidate kernel inputs; `train_map` is null until execution.
-  std::vector<PlannedCandidate> candidates;
-  /// Distinct group indexes referenced by the candidates (first-use order).
-  std::vector<const GroupIndex*> group_indexes;
-  /// candidates[i] reads its training-row map from group_indexes[candidate_group[i]].
+  /// Per-group values of each query, indexed by the group ids of
+  /// owned_indexes[candidate_group[i]] (NaN for groups no row qualifies).
+  std::vector<std::vector<double>> per_group_features;
+  /// Key-map-only group indexes (row_groups() is empty), one per distinct
+  /// group-key set in first-use order. Never published into a planner's
+  /// store, whose consumers expect per-row ids.
+  std::vector<std::shared_ptr<const GroupIndex>> owned_indexes;
+  /// per_group_features[i] is keyed by owned_indexes[candidate_group[i]].
   std::vector<size_t> candidate_group;
   /// The relevant table the plan was compiled against (not owned). Bound at
   /// compile time: executing against any other table — even one with the
   /// same schema — would translate batch keys through the wrong dictionary.
   const Table* relevant = nullptr;
-  /// Kernel-backend override captured from the compiling planner. kAuto
-  /// defers to FEATLIB_KERNEL_BACKEND / FeatAugConfig at *execution* time,
-  /// so a serving process can steer the backend without recompiling plans.
-  KernelBackend kernel_backend = KernelBackend::kAuto;
-
-  /// \name Morsel-streamed plans (see query/morsel.h).
-  ///
-  /// When the compiling planner resolved a non-zero morsel size, the
-  /// per-group aggregate values were computed at compile time by the
-  /// bounded-memory morsel pipeline and frozen here; executing the plan only
-  /// maps each batch onto them (a per-group lookup — the same final step the
-  /// kernels perform). `candidates` is then empty, `group_indexes` points
-  /// into `owned_indexes` (key-map-only indexes, deliberately never
-  /// published into the planner's store), and per_group_features[i] pairs
-  /// with candidate_group[i] exactly as candidates[i] otherwise would.
-  /// @{
-  bool morsel_streamed = false;
-  std::vector<std::vector<double>> per_group_features;
-  std::vector<std::shared_ptr<const GroupIndex>> owned_indexes;
-  /// @}
 };
 
-/// Executes a frozen serving plan against one batch: builds the batch's
-/// training-row maps locally (one per distinct group index, no store
-/// mutation), then runs the pure per-candidate kernels — on `pool` when
-/// non-null, inline otherwise. Const over the compiling planner and its
-/// store, so concurrent calls on the same plan are thread-safe and
-/// byte-identical to serial execution at every thread count.
+/// Executes a frozen serving plan against one batch: maps the batch's join
+/// keys to group ids (one training-row map per group index, call-local),
+/// then scatters each query's frozen per-group values — on `pool` when
+/// non-null, inline otherwise. Const over the plan, so concurrent calls on
+/// the same plan are thread-safe and byte-identical to serial execution at
+/// every thread count.
 Result<std::vector<std::vector<double>>> ExecuteServingPlan(
     const ServingPlan& plan, const Table& batch, ThreadPool* pool = nullptr,
     const ExecContext* ctx = nullptr);
@@ -249,13 +231,12 @@ class QueryPlanner {
   Result<Table> ExecuteAggQuery(const AggQuery& q, const Table& relevant,
                                 const ExecContext* ctx = nullptr);
 
-  /// Compiles `queries` into a frozen ServingPlan: prepares every
-  /// relevant-side artifact (group indexes, predicate masks, value views,
-  /// bucket materializations) through the store, but binds no training-row
-  /// maps — those are per-batch and built by ExecuteServingPlan. `queries`
-  /// must outlive the returned plan (candidates point into it), and no
-  /// further Prepare/Evaluate call may run on this planner while the plan
-  /// is in use.
+  /// Compiles `queries` into a frozen ServingPlan: computes each query's
+  /// per-group values over `relevant` once — through the store's artifacts
+  /// in RAM, or by the morsel pipeline when a morsel size is resolved — and
+  /// copies the key maps of their group indexes into the plan. The kernel
+  /// backend is resolved here, not at execution. The returned plan borrows
+  /// only `relevant`: neither this planner nor `queries` need outlive it.
   Result<ServingPlan> CompileServingPlan(const std::vector<AggQuery>& queries,
                                          const Table& relevant,
                                          const ExecContext* ctx = nullptr);

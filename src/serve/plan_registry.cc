@@ -57,31 +57,6 @@ Status PlanRegistry::DiscoverPlans(const std::string& dir, size_t* num_found) {
   return Status::OK();
 }
 
-size_t PlanRegistry::EstimateWarmBytes(const Table& relevant,
-                                       size_t num_queries) {
-  size_t bytes = 0;
-  const size_t rows = relevant.num_rows();
-  for (size_t c = 0; c < relevant.num_columns(); ++c) {
-    const Column& col = relevant.ColumnAt(c);
-    bytes += rows;  // validity
-    switch (col.type()) {
-      case DataType::kString: {
-        bytes += rows * sizeof(int32_t);
-        for (const std::string& s : col.dictionary()) bytes += s.size() + 16;
-        break;
-      }
-      default:
-        bytes += rows * 8;
-        break;
-    }
-  }
-  // Masks/materializations scale with rows per query; group indexes and
-  // views are shared. One byte-per-row-per-query is the order of a packed
-  // mask plus its share of the bucket materializations.
-  bytes += num_queries * (rows + 4096);
-  return bytes;
-}
-
 Result<std::shared_ptr<const FittedAugmenter>> PlanRegistry::Acquire(
     const std::string& name) {
   std::string plan_path;
@@ -128,8 +103,7 @@ Result<std::shared_ptr<const FittedAugmenter>> PlanRegistry::Acquire(
                        "loading plan " + plan_path + ": " +
                            fitted.status().message()));
   }
-  const size_t warm_bytes = EstimateWarmBytes(
-      relevant.value(), fitted.value()->num_features());
+  const size_t warm_bytes = fitted.value()->SizeBytes();
   std::shared_ptr<const FittedAugmenter> handle(std::move(fitted).ValueOrDie());
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -160,7 +134,7 @@ void PlanRegistry::EvictForLocked(const std::string& keep) {
     warm_bytes_ -= victim->warm_bytes;
     victim->warm_bytes = 0;
     // Dropping the reference is the whole eviction: in-flight holders of
-    // this shared_ptr keep the store alive until they finish.
+    // this shared_ptr keep the handle alive until they finish.
     victim->handle.reset();
     ++num_evictions_;
   }

@@ -6,22 +6,22 @@
 /// and kept resident under an LRU byte cap.
 ///
 /// The daemon serves many plans from one process; keeping every warm
-/// artifact store (group indexes, masks, materializations) resident forever
-/// would not scale, and reloading per request would throw away the entire
-/// point of the serving handle. The registry sits between: Acquire(name)
-/// returns a shared warm handle, compiling it from the on-disk plan
-/// (plan_io::LoadFittedAugmenter) exactly once per residency — concurrent
-/// first requests for the same plan wait for the one in-flight load instead
-/// of duplicating the compile — and when the sum of warm-handle byte
-/// estimates exceeds the cap, the least-recently-acquired resident plans
-/// are evicted.
+/// handle (relevant table, frozen per-group values, key maps) resident
+/// forever would not scale, and reloading per request would throw away the
+/// entire point of the serving handle. The registry sits between:
+/// Acquire(name) returns a shared warm handle, compiling it from the
+/// on-disk plan (plan_io::LoadFittedAugmenter) exactly once per residency —
+/// concurrent first requests for the same plan wait for the one in-flight
+/// load instead of duplicating the compile — and when the sum of
+/// warm-handle sizes (FittedAugmenter::SizeBytes) exceeds the cap, the
+/// least-recently-acquired resident plans are evicted.
 ///
 /// **Pinning.** Eviction only drops the registry's reference; the handle
 /// itself is returned as shared_ptr<const FittedAugmenter>, so every
-/// in-flight request pins the store it is using exactly like
-/// ArtifactStore's epoch pinning — an evicted plan's artifacts survive
-/// until the last outstanding request releases them, and a running
-/// Transform can never lose its store mid-flight. The byte cap therefore
+/// in-flight request pins the handle it is using exactly like
+/// ArtifactStore's epoch pinning — an evicted plan's handle survives
+/// until the last outstanding request releases it, and a running
+/// Transform can never lose its plan mid-flight. The byte cap therefore
 /// bounds *registry-resident* warm bytes; transient overshoot while evicted
 /// handles drain is possible and intended (the alternative is thrashing
 /// in-flight requests).
@@ -52,7 +52,7 @@ namespace featlib {
 namespace serve {
 
 struct PlanRegistryOptions {
-  /// Cap on the summed byte estimates of registry-resident warm handles.
+  /// Cap on the summed sizes of registry-resident warm handles.
   /// 0 = unlimited. Exceeding it evicts least-recently-acquired residents
   /// (never the one being acquired).
   size_t warm_cap_bytes = 512u << 20;
@@ -77,13 +77,13 @@ class PlanRegistry {
   Status DiscoverPlans(const std::string& dir, size_t* num_found = nullptr);
 
   /// Returns the warm handle for `name`, compiling it on first request.
-  /// The returned shared_ptr pins the handle (and its artifact store)
-  /// against eviction for as long as the caller holds it. A failed load is
-  /// not sticky: the error is returned and the next Acquire retries.
+  /// The returned shared_ptr pins the handle against eviction for as long
+  /// as the caller holds it. A failed load is not sticky: the error is
+  /// returned and the next Acquire retries.
   Result<std::shared_ptr<const FittedAugmenter>> Acquire(
       const std::string& name);
 
-  /// All registered plans, alphabetical, with residency and byte estimate.
+  /// All registered plans, alphabetical, with residency and warm bytes.
   std::vector<PlanInfo> List() const;
 
   /// \name Introspection (tests, stats endpoint).
@@ -93,12 +93,6 @@ class PlanRegistry {
   size_t num_loads() const;
   size_t num_evictions() const;
   /// @}
-
-  /// Rough residency cost of one warm handle: the relevant table's storage
-  /// plus a fixed per-query artifact charge. An estimate — artifacts are
-  /// not individually sized — but proportional and stable, which is what
-  /// LRU accounting needs.
-  static size_t EstimateWarmBytes(const Table& relevant, size_t num_queries);
 
  private:
   struct Entry {

@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -36,21 +37,24 @@ Status ErrnoStatus(const std::string& what) {
 
 }  // namespace
 
+Server::Connection::~Connection() {
+  if (fd >= 0) ::close(fd);
+}
+
 void Server::Connection::Close() {
   bool expected = false;
   if (closed.compare_exchange_strong(expected, true)) {
-    // Shutdown first so a blocked reader wakes with EOF; close under the
-    // write mutex so no writer races the fd teardown.
+    // Wakes a blocked reader with EOF and fails later writes. The fd itself
+    // is closed by ~Connection, once no reader or writer holds this
+    // connection: closing it here would race their read()/write() and could
+    // hand them a recycled descriptor.
     ::shutdown(fd, SHUT_RDWR);
-    std::lock_guard<std::mutex> lock(write_mu);
-    ::close(fd);
-    fd = -1;
   }
 }
 
 bool Server::Connection::Write(MessageType type, const std::string& payload) {
   std::lock_guard<std::mutex> lock(write_mu);
-  if (closed.load(std::memory_order_acquire) || fd < 0) return false;
+  if (closed.load(std::memory_order_acquire)) return false;
   return WriteFrame(fd, type, payload).ok();
 }
 
@@ -150,8 +154,8 @@ void Server::AcceptLoop() {
       connections_accepted_.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(conn_mu_);
       if (draining_.load(std::memory_order_acquire)) {
-        // Raced with shutdown: refuse rather than strand a reader.
-        ::close(client);
+        // Raced with shutdown: refuse rather than strand a reader (dropping
+        // `conn` closes the fd).
         continue;
       }
       connections_.push_back(conn);
@@ -175,14 +179,17 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
         msg.message = frame.status().ToString();
         conn->Write(MessageType::kError, EncodeErrorMessage(msg));
       }
-      conn->Close();
-      return;
+      break;
     }
-    if (!HandleFrame(conn, std::move(frame).ValueOrDie())) {
-      conn->Close();
-      return;
-    }
+    if (!HandleFrame(conn, std::move(frame).ValueOrDie())) break;
   }
+  conn->Close();
+  // Forget the connection, so its fd closes (~Connection) as soon as the
+  // last in-flight response releases it rather than at server shutdown.
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  connections_.erase(
+      std::remove(connections_.begin(), connections_.end(), conn),
+      connections_.end());
 }
 
 bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,

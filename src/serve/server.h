@@ -105,10 +105,13 @@ class Server {
   /// callback, so a response can always be attempted even if the reader
   /// already saw EOF.
   struct Connection {
+    /// Set before the reader starts and never changed; closed by the
+    /// destructor.
     int fd = -1;
     std::mutex write_mu;
     std::atomic<bool> closed{false};
 
+    ~Connection();
     void Close();
     /// Best-effort framed write; false when the peer is gone.
     bool Write(MessageType type, const std::string& payload);

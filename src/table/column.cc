@@ -200,6 +200,22 @@ Result<std::pair<double, double>> Column::MinMaxAsDouble() const {
   return std::make_pair(lo, hi);
 }
 
+size_t Column::SizeBytes() const {
+  size_t bytes = valid_.capacity() + ints_.capacity() * sizeof(int64_t) +
+                 doubles_.capacity() * sizeof(double) +
+                 codes_.capacity() * sizeof(int32_t);
+  if (dict_ != nullptr) {
+    bytes += dict_->values.capacity() * sizeof(std::string);
+    for (const std::string& v : dict_->values) {
+      // The characters live twice (value + index key); SSO strings are
+      // counted too, to stay deterministic across libstdc++ thresholds.
+      bytes += 2 * v.size() + sizeof(std::string) + sizeof(int32_t) +
+               4 * sizeof(void*);
+    }
+  }
+  return bytes;
+}
+
 size_t Column::CountDistinct() const {
   if (type_ == DataType::kString) {
     std::unordered_set<int32_t> seen;

@@ -111,6 +111,10 @@ class Column {
   /// Number of distinct non-null values (exact; hashes the numeric view).
   size_t CountDistinct() const;
 
+  /// Heap bytes of the backing arrays (by capacity) plus the dictionary's
+  /// strings and reverse-index nodes. A shared dictionary counts in full.
+  size_t SizeBytes() const;
+
   /// Gathers the given rows into a new column (dictionary shared by copy).
   Column Take(const std::vector<uint32_t>& indices) const;
 

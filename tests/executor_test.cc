@@ -6,6 +6,7 @@
 #include "common/rng.h"
 
 #include "query/executor.h"
+#include "query/group_index.h"
 
 namespace featlib {
 namespace {
@@ -283,6 +284,58 @@ TEST(ExecutorTest, CacheKeyDistinguishesQueries) {
   b = AvgPriceQuery();
   b.predicates = {Predicate::Range("ts", 1.0, std::nullopt)};
   EXPECT_NE(a.CacheKey(), b.CacheKey());
+}
+
+// A training key stored differently from R's key column is a typed error,
+// never an accessor abort: each pair below used to reach IntAt, DoubleAt or
+// CodeAt on the wrong column.
+TEST(ExecutorTest, MistypedJoinKeyIsInvalidArgument) {
+  Table relevant;
+  ASSERT_TRUE(relevant.AddColumn("i", Column::FromInts(DataType::kInt64, {1, 2}))
+                  .ok());
+  ASSERT_TRUE(relevant.AddColumn("d", Column::FromDoubles({0.5, 1.5})).ok());
+  ASSERT_TRUE(relevant.AddColumn("s", Column::FromStrings({"a", "b"})).ok());
+  ASSERT_TRUE(relevant.AddColumn("v", Column::FromDoubles({3.0, 4.0})).ok());
+
+  const Column as_int = Column::FromInts(DataType::kInt64, {1});
+  const Column as_double = Column::FromDoubles({1.0});
+  const Column as_string = Column::FromStrings({"1"});
+  const struct {
+    std::string key;
+    const Column* column;
+  } cases[] = {{"i", &as_double}, {"i", &as_string}, {"d", &as_int},
+               {"d", &as_string}, {"s", &as_int},    {"s", &as_double}};
+  for (const auto& c : cases) {
+    Table training;
+    ASSERT_TRUE(training.AddColumn(c.key, *c.column).ok());
+    auto index = GroupIndex::Build(relevant, {c.key});
+    ASSERT_TRUE(index.ok());
+    auto mapped = index.value().MapTrainingRows(training, relevant);
+    ASSERT_FALSE(mapped.ok()) << c.key;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mapped.status().message().find("join key type mismatch on " +
+                                             c.key),
+              std::string::npos)
+        << mapped.status().ToString();
+
+    AggQuery q;
+    q.agg = AggFunction::kSum;
+    q.agg_attr = "v";
+    q.group_keys = {c.key};
+    auto column = ComputeFeatureColumn(q, training, relevant);
+    ASSERT_FALSE(column.ok()) << c.key;
+    EXPECT_EQ(column.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // Int-backed types share one storage, so they still join each other.
+  Table training;
+  ASSERT_TRUE(
+      training.AddColumn("i", Column::FromInts(DataType::kDatetime, {2, 7})).ok());
+  auto index = GroupIndex::Build(relevant, {"i"});
+  ASSERT_TRUE(index.ok());
+  auto mapped = index.value().MapTrainingRows(training, relevant);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value(), (std::vector<uint32_t>{1, GroupIndex::kNoGroup}));
 }
 
 }  // namespace

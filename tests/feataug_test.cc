@@ -2,6 +2,7 @@
 
 #include "baselines/featuretools.h"
 #include "baselines/selectors.h"
+#include "core/augmenter.h"
 #include "core/feataug.h"
 #include "data/synthetic.h"
 
@@ -52,7 +53,9 @@ TEST(FeatAugTest, ApplyAppendsFeatureColumns) {
   FeatAug feataug(bundle.ToProblem(), FastOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto augmented = feataug.Apply(plan.value(), bundle.training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  auto augmented = fitted.value()->Transform(bundle.training);
   ASSERT_TRUE(augmented.ok());
   EXPECT_EQ(augmented.value().num_rows(), bundle.training.num_rows());
   EXPECT_EQ(augmented.value().num_columns(),
@@ -67,7 +70,10 @@ TEST(FeatAugTest, ApplyToDatasetMatchesPlanWidth) {
   FeatAug feataug(bundle.ToProblem(), FastOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto ds = feataug.ApplyToDataset(plan.value(), bundle.training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  auto ds = fitted.value()->TransformToDataset(
+      bundle.training, bundle.label_col, bundle.base_features, bundle.task);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().d,
             bundle.base_features.size() + plan.value().queries.size());

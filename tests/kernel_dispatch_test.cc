@@ -275,8 +275,11 @@ TEST(KernelDispatchTest, FilterMaskParityInt64FullRange) {
     if (row % 13 == 5) {
       col.AppendNull();
     } else {
-      col.AppendInt(values[rng.UniformInt(values.size())] +
-                    static_cast<int64_t>(rng.UniformInt(7)));
+      // Offsets past INT64_MAX wrap (two's complement, computed unsigned to
+      // stay defined), which puts values next to INT64_MIN as well.
+      col.AppendInt(static_cast<int64_t>(
+          static_cast<uint64_t>(values[rng.UniformInt(values.size())]) +
+          rng.UniformInt(7)));
     }
   }
   Table table;
@@ -401,17 +404,21 @@ TEST(KernelDispatchTest, ServingPlanDispatchesPerBackend) {
   auto simd_plan = simd_planner.CompileServingPlan(pool, pair.relevant);
   ASSERT_TRUE(scalar_plan.ok());
   ASSERT_TRUE(simd_plan.ok());
-  EXPECT_EQ(scalar_plan.value().kernel_backend, KernelBackend::kScalar);
-  EXPECT_EQ(simd_plan.value().kernel_backend, KernelBackend::kSimd);
 
-  auto expected = ExecuteServingPlan(scalar_plan.value(), pair.training);
-  auto actual = ExecuteServingPlan(simd_plan.value(), pair.training);
+  // A plan resolves its backend at compile; either must reproduce the fit
+  // path (EvaluateMany on the scalar oracle) bit for bit.
+  QueryPlanner oracle;
+  oracle.set_kernel_backend(KernelBackend::kScalar);
+  auto expected = oracle.EvaluateMany(pool, pair.training, pair.relevant);
   ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  ASSERT_EQ(actual.value().size(), expected.value().size());
-  for (size_t i = 0; i < expected.value().size(); ++i) {
-    ExpectBitIdentical(actual.value()[i], expected.value()[i],
-                       "serving candidate " + std::to_string(i));
+  for (const ServingPlan* plan : {&scalar_plan.value(), &simd_plan.value()}) {
+    auto actual = ExecuteServingPlan(*plan, pair.training);
+    ASSERT_TRUE(actual.ok());
+    ASSERT_EQ(actual.value().size(), expected.value().size());
+    for (size_t i = 0; i < expected.value().size(); ++i) {
+      ExpectBitIdentical(actual.value()[i], expected.value()[i],
+                         "serving candidate " + std::to_string(i));
+    }
   }
 }
 

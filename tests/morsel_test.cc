@@ -389,21 +389,17 @@ TEST(MorselTest, ServingPlanMorselStreamedMatchesLegacyExecution) {
   const RandomPair tables = MakeRandomPair(&rng);
   const std::vector<AggQuery> queries = MakeCandidatePool();
 
-  QueryPlanner legacy_planner;
-  auto legacy_plan =
-      legacy_planner.CompileServingPlan(queries, tables.relevant);
-  ASSERT_TRUE(legacy_plan.ok()) << legacy_plan.status().ToString();
-  EXPECT_FALSE(legacy_plan.value().morsel_streamed);
-  auto legacy_out = ExecuteServingPlan(legacy_plan.value(), tables.training);
-  ASSERT_TRUE(legacy_out.ok()) << legacy_out.status().ToString();
+  // The oracle is the fit path, which does not go through ServingPlan.
+  QueryPlanner oracle;
+  auto expected =
+      oracle.EvaluateMany(queries, tables.training, tables.relevant);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   QueryPlanner morsel_planner;
   morsel_planner.set_morsel_rows(17);
   auto morsel_plan =
       morsel_planner.CompileServingPlan(queries, tables.relevant);
   ASSERT_TRUE(morsel_plan.ok()) << morsel_plan.status().ToString();
-  EXPECT_TRUE(morsel_plan.value().morsel_streamed);
-  EXPECT_TRUE(morsel_plan.value().candidates.empty());
   ASSERT_EQ(morsel_plan.value().per_group_features.size(), queries.size());
 
   for (const int threads : {0, 2}) {
@@ -413,7 +409,7 @@ TEST(MorselTest, ServingPlanMorselStreamedMatchesLegacyExecution) {
     ASSERT_TRUE(morsel_out.ok()) << morsel_out.status().ToString();
     ASSERT_EQ(morsel_out.value().size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectColumnsBitIdentical(morsel_out.value()[i], legacy_out.value()[i],
+      ExpectColumnsBitIdentical(morsel_out.value()[i], expected.value()[i],
                                 "serving threads=" + std::to_string(threads));
     }
   }

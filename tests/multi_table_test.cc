@@ -1,3 +1,4 @@
+#include "core/augmenter.h"
 #include "core/multi_table.h"
 
 #include <gtest/gtest.h>
@@ -225,7 +226,9 @@ TEST(MultiTableFeatAugTest, ApplyAppendsQualifiedFeatures) {
   MultiTableFeatAug feataug(std::move(problem), FastMultiOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto augmented = feataug.Apply(plan.value(), training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  auto augmented = fitted.value()->Transform(training);
   ASSERT_TRUE(augmented.ok()) << augmented.status().ToString();
   EXPECT_EQ(augmented.value().num_rows(), training.num_rows());
   EXPECT_EQ(augmented.value().num_columns(),
@@ -246,10 +249,16 @@ TEST(MultiTableFeatAugTest, ApplyToDatasetMatchesApply) {
   MultiTableBundle bundle = MakeInstacartMultiTable(SmallOptions());
   MultiTableProblem problem = MakeProblem(bundle);
   const Table training = problem.training;
+  const std::string label_col = problem.label_col;
+  const std::vector<std::string> base_cols = problem.base_feature_cols;
+  const TaskKind task = problem.task;
   MultiTableFeatAug feataug(std::move(problem), FastMultiOptions());
   auto plan = feataug.Fit();
   ASSERT_TRUE(plan.ok());
-  auto ds = feataug.ApplyToDataset(plan.value(), training);
+  auto fitted = feataug.MakeFitted(plan.value());
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  auto ds = fitted.value()->TransformToDataset(training, label_col, base_cols,
+                                               task);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   // Base features (2) plus every generated feature, aligned to D's rows.
   EXPECT_EQ(ds.value().n, training.num_rows());

@@ -207,6 +207,57 @@ TEST(QueryPlannerTest, ParallelPrepareIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// --- Serving plans own their state -------------------------------------------
+
+// A compiled plan borrows only the relevant table: the compiling planner
+// (and its artifact store) and the query vector may die first. Execution
+// must still match the fit path, EvaluateMany, bit for bit.
+TEST(QueryPlannerTest, ServingPlanOutlivesPlannerAndQueries) {
+  const Pair tables = MakePair();
+  auto make_queries = [] {
+    const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
+    const Predicate pb = Predicate::Range("level", std::nullopt, 2.0);
+    std::vector<AggQuery> queries;
+    for (AggFunction fn : AllAggFunctions()) {
+      queries.push_back(MakeQuery(fn, {}));
+      queries.push_back(MakeQuery(fn, {pa, pb}));
+    }
+    AggQuery count_star = MakeQuery(AggFunction::kCount, {pb});
+    count_star.agg_attr.clear();
+    queries.push_back(count_star);
+    return queries;
+  };
+  QueryPlanner oracle;
+  auto expected =
+      oracle.EvaluateMany(make_queries(), tables.training, tables.relevant);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  for (const size_t morsel_rows : {size_t{0}, size_t{7}}) {
+    ThreadPool pool(2);
+    ServingPlan plan;
+    {
+      const std::vector<AggQuery> queries = make_queries();
+      QueryPlanner planner;
+      planner.set_thread_pool(&pool);
+      planner.set_morsel_rows(morsel_rows);
+      auto compiled = planner.CompileServingPlan(queries, tables.relevant);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      plan = std::move(compiled).ValueOrDie();
+    }
+    for (ThreadPool* exec_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto actual = ExecuteServingPlan(plan, tables.training, exec_pool);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      ASSERT_EQ(actual.value().size(), expected.value().size());
+      for (size_t i = 0; i < actual.value().size(); ++i) {
+        ExpectColumnsBitIdentical(
+            actual.value()[i], expected.value()[i],
+            "morsel_rows=" + std::to_string(morsel_rows) + " q" +
+                std::to_string(i));
+      }
+    }
+  }
+}
+
 // --- Eviction pinning across parallel prepare --------------------------------
 
 TEST(QueryPlannerTest, EvictionPinningHoldsUnderParallelPrepare) {

@@ -2,7 +2,8 @@
 /// \brief End-to-end daemon contract: >= 8 concurrent client connections
 /// receive responses byte-identical to direct in-process TransformMany on
 /// the same fitted plan, concurrent requests coalesce (>= 2 merged into
-/// one fan-out), deadlines travel with requests, TCP works, and SIGTERM
+/// one fan-out), deadlines travel with requests, a mistyped join key is a
+/// typed error that leaves the daemon serving, TCP works, and SIGTERM
 /// drains gracefully — every in-flight response delivered, new
 /// connections refused. Runs under TSan in scripts/ci.sh.
 
@@ -141,6 +142,40 @@ TEST(ServeDaemonTest, DeadlineTravelsWithTheRequest) {
   f.server->Shutdown();
 }
 
+// The plan joins on an int64 key. A request carrying that key as doubles
+// gets a typed error, and the daemon keeps serving well-typed requests.
+TEST(ServeDaemonTest, MistypedJoinKeyIsATypedErrorNotAnAbort) {
+  DaemonFixture f = StartDaemon("feataug_daemon_", ServerOptions());
+  auto client = ServeClient::ConnectUnix(f.dir + "/daemon.sock");
+  ASSERT_TRUE(client.ok());
+
+  const Table& good = f.batches[0];
+  Table mistyped;
+  for (size_t c = 0; c < good.num_columns(); ++c) {
+    const Column& col = good.ColumnAt(c);
+    if (good.NameAt(c) != "k") {
+      ASSERT_TRUE(mistyped.AddColumn(good.NameAt(c), col).ok());
+      continue;
+    }
+    std::vector<double> keys;
+    for (size_t r = 0; r < col.size(); ++r) keys.push_back(col.AsDouble(r));
+    ASSERT_TRUE(mistyped.AddColumn("k", Column::FromDoubles(keys)).ok());
+  }
+  auto rejected = client.value().Transform("demo", mistyped);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  EXPECT_NE(rejected.status().message().find("join key type mismatch on k"),
+            std::string::npos)
+      << rejected.status().ToString();
+
+  auto fine = client.value().Transform("demo", good);
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  EXPECT_EQ(EncodeTable(fine.value()), f.reference[0]);
+
+  f.server->Shutdown();
+}
+
 TEST(ServeDaemonTest, TcpLoopbackServes) {
   ServerOptions options;
   options.tcp_port = 0;  // ephemeral
@@ -184,7 +219,8 @@ TEST(ServeDaemonTest, SigtermDrainsInFlightThenRefusesNewConnections) {
 
   constexpr int kClients = 4;
   std::vector<Status> results(kClients, Status::Internal("never ran"));
-  std::vector<bool> identical(kClients, false);
+  // Not vector<bool>: its packed bits would make the clients' writes race.
+  std::vector<char> identical(kClients, 0);
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {

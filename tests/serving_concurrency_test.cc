@@ -3,7 +3,7 @@
 /// handle produce byte-identical output to serial execution at 1/2/4/8
 /// threads, across Transform / TransformMany / ComputeFeatureColumns and
 /// across batches with different rows. Runs under TSan in scripts/ci.sh —
-/// the handle's store is frozen after Create and every per-call artifact
+/// the handle's plan is frozen after Create and every per-call artifact
 /// (training-row maps, outputs) is call-local, so no locks are needed.
 
 #include <gtest/gtest.h>
