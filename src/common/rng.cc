@@ -116,16 +116,21 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 }
 
 std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
-  std::vector<size_t> all(n);
-  std::iota(all.begin(), all.end(), size_t{0});
-  if (k >= n) return all;
+  std::vector<size_t> out;
+  SampleIndices(n, k, &out);
+  return out;
+}
+
+void Rng::SampleIndices(size_t n, size_t k, std::vector<size_t>* out) {
+  out->resize(n);
+  std::iota(out->begin(), out->end(), size_t{0});
+  if (k >= n) return;
   // Partial Fisher-Yates: first k slots become the sample.
   for (size_t i = 0; i < k; ++i) {
     size_t j = i + static_cast<size_t>(UniformInt(n - i));
-    std::swap(all[i], all[j]);
+    std::swap((*out)[i], (*out)[j]);
   }
-  all.resize(k);
-  return all;
+  out->resize(k);
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

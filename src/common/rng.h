@@ -66,6 +66,10 @@ class Rng {
   /// Samples k distinct indices from [0, n) (k may exceed n, then all n).
   std::vector<size_t> SampleIndices(size_t n, size_t k);
 
+  /// Same draws and result as SampleIndices(n, k), written into `*out`
+  /// (reusing its capacity, so a caller looping over it allocates once).
+  void SampleIndices(size_t n, size_t k, std::vector<size_t>* out);
+
   /// Spawns an independent child generator (distinct stream).
   Rng Fork();
 

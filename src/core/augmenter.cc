@@ -43,7 +43,7 @@ Result<std::unique_ptr<FittedAugmenter>> FittedAugmenter::Create(
                           planner.CompileServingPlan(src.queries, src.relevant));
     out->sources_.push_back(std::move(per));
   }
-  return std::move(out);
+  return out;
 }
 
 Result<Table> FittedAugmenter::TransformWith(const Table& batch,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "ml/tree.h"
 
@@ -92,8 +91,6 @@ std::vector<ParamVector> Smac::SuggestBatch(int n_batch) {
   }
   for (size_t c = 0; c < enc_d; ++c) train.feature_names.push_back("");
 
-  std::vector<uint32_t> all_rows(n);
-  std::iota(all_rows.begin(), all_rows.end(), 0u);
   std::vector<double> grad(n);
   for (size_t i = 0; i < n; ++i) grad[i] = -train.y[i];
   const std::vector<double> hess(n, 1.0);
@@ -107,6 +104,7 @@ std::vector<ParamVector> Smac::SuggestBatch(int n_batch) {
   tree_options.max_features =
       std::max(1, static_cast<int>(std::sqrt(static_cast<double>(enc_d)) + 0.5));
 
+  const SortedFeatures sorted(train);  // shared by every surrogate tree
   std::vector<GradientTree> forest;
   forest.reserve(static_cast<size_t>(options_.n_trees));
   for (int t = 0; t < options_.n_trees; ++t) {
@@ -114,7 +112,7 @@ std::vector<ParamVector> Smac::SuggestBatch(int n_batch) {
     for (auto& r : rows) r = static_cast<uint32_t>(rng_.UniformInt(n));
     Rng tree_rng = rng_.Fork();
     GradientTree tree;
-    tree.Fit(train, rows, grad, hess, tree_options, &tree_rng);
+    tree.Fit(train, sorted, rows, grad, hess, tree_options, &tree_rng);
     forest.push_back(std::move(tree));
   }
 

@@ -22,6 +22,7 @@ Status RandomForestModel::Fit(const Dataset& train) {
   const size_t sample_n = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(train.n) * options_.subsample));
 
+  const SortedFeatures sorted(train);  // shared by every tree
   class_trees_.clear();
   reg_trees_.clear();
   for (int t = 0; t < options_.n_trees; ++t) {
@@ -38,11 +39,11 @@ Status RandomForestModel::Fit(const Dataset& train) {
       reg_opts.lambda = 1e-6;
       reg_opts.min_gain = 0.0;
       GradientTree tree;
-      tree.Fit(train, rows, grad, hess, reg_opts, &tree_rng);
+      tree.Fit(train, sorted, rows, grad, hess, reg_opts, &tree_rng);
       reg_trees_.push_back(std::move(tree));
     } else {
       ClassificationTree tree;
-      tree.Fit(train, rows, num_classes_, tree_options, &tree_rng);
+      tree.Fit(train, sorted, rows, num_classes_, tree_options, &tree_rng);
       class_trees_.push_back(std::move(tree));
     }
   }

@@ -43,6 +43,7 @@ Status GbdtModel::Fit(const Dataset& train) {
 
   const size_t sample_n = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(train.n) * options_.subsample));
+  const SortedFeatures sorted(train);  // shared by every round and head
 
   for (size_t head = 0; head < n_heads; ++head) {
     std::vector<double> margin(train.n, base_score_);
@@ -76,7 +77,7 @@ Status GbdtModel::Fit(const Dataset& train) {
       }
       Rng tree_rng = rng.Fork();
       GradientTree tree;
-      tree.Fit(train, rows, grad, hess, options_.tree, &tree_rng);
+      tree.Fit(train, sorted, rows, grad, hess, options_.tree, &tree_rng);
       for (size_t i = 0; i < train.n; ++i) {
         margin[i] += options_.learning_rate * tree.PredictRow(train, i);
       }

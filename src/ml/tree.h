@@ -4,6 +4,19 @@
 /// \brief CART decision trees: a gradient/hessian regression tree (the GBDT
 /// weak learner, XGBoost leaf-weight formulation) and a Gini classification
 /// tree with class distributions at the leaves (the RF base learner).
+///
+/// Both trees split by exact greedy search over presorted feature lists. A
+/// model fit sorts every feature once (SortedFeatures) and shares that
+/// order with all of its trees. Each tree filters the shared order down to
+/// its own row multiset, and each split stably partitions every feature's
+/// list with the same `x <= threshold` decision that partitions the rows.
+/// No node ever sorts, and the gain scan visits a node's rows in ascending
+/// (value, row) order — the order a per-node sort of (value, row) pairs
+/// would produce — so trees are bit-identical to sorting at every node.
+///
+/// Precondition: feature values contain no NaN. NaN has no place in the
+/// (value, row) order; callers impute first (ImputeNanInPlace), as the
+/// model evaluation pipeline does.
 
 #include <cstdint>
 #include <vector>
@@ -25,6 +38,36 @@ struct TreeOptions {
   double min_gain = 1e-7;
 };
 
+/// \brief Every feature's rows in ascending (value, row) order.
+///
+/// Built once per model fit from the fit's training dataset and shared
+/// read-only by every tree of that fit (all GBDT rounds and heads, all
+/// forest trees). The dataset must hold no NaN.
+class SortedFeatures {
+ public:
+  struct Entry {
+    double value;
+    uint32_t row;
+  };
+
+  explicit SortedFeatures(const Dataset& ds);
+
+  size_t num_rows() const { return n_; }
+  size_t num_features() const { return d_; }
+
+  /// The num_rows() entries of feature `f`, ascending by (value, row).
+  const Entry* Column(size_t f) const { return entries_.data() + f * n_; }
+
+ private:
+  size_t n_ = 0;
+  size_t d_ = 0;
+  std::vector<Entry> entries_;  // d blocks of n, feature-major
+};
+
+/// Per-tree working state of a build (tree.cc): the row array, each
+/// feature's presorted list of the tree's rows, and reused scratch.
+class TreeBuildState;
+
 /// \brief Regression tree over (gradient, hessian) statistics.
 ///
 /// Leaf weight = -G/(H + lambda); split gain is the standard second-order
@@ -33,9 +76,11 @@ struct TreeOptions {
 /// regression.
 class GradientTree {
  public:
-  void Fit(const Dataset& ds, const std::vector<uint32_t>& rows,
-           const std::vector<double>& grad, const std::vector<double>& hess,
-           const TreeOptions& options, Rng* rng);
+  /// Fits on the row multiset `rows` (a subsample, or a bootstrap sample
+  /// with repeats) of `ds`. `sorted` must be SortedFeatures(ds).
+  void Fit(const Dataset& ds, const SortedFeatures& sorted,
+           const std::vector<uint32_t>& rows, const std::vector<double>& grad,
+           const std::vector<double>& hess, const TreeOptions& options, Rng* rng);
 
   double PredictRow(const Dataset& ds, size_t row) const;
 
@@ -54,10 +99,9 @@ class GradientTree {
     double value = 0.0;     // leaf weight
   };
 
-  int Build(const Dataset& ds, std::vector<uint32_t>* rows, size_t begin,
-            size_t end, const std::vector<double>& grad,
-            const std::vector<double>& hess, const TreeOptions& options, int depth,
-            Rng* rng);
+  int Build(TreeBuildState* state, size_t begin, size_t end,
+            const std::vector<double>& grad, const std::vector<double>& hess,
+            const TreeOptions& options, int depth, Rng* rng);
 
   std::vector<Node> nodes_;
   std::vector<double> feature_gains_;
@@ -67,7 +111,10 @@ class GradientTree {
 /// probability vectors.
 class ClassificationTree {
  public:
-  void Fit(const Dataset& ds, const std::vector<uint32_t>& rows, int num_classes,
+  /// Fits on the row multiset `rows` of `ds` (labels are class indices).
+  /// `sorted` must be SortedFeatures(ds).
+  void Fit(const Dataset& ds, const SortedFeatures& sorted,
+           const std::vector<uint32_t>& rows, int num_classes,
            const TreeOptions& options, Rng* rng);
 
   /// Class-probability vector for one row.
@@ -87,9 +134,8 @@ class ClassificationTree {
     std::vector<double> distribution;  // leaves only
   };
 
-  int Build(const Dataset& ds, std::vector<uint32_t>* rows, size_t begin,
-            size_t end, int num_classes, const TreeOptions& options, int depth,
-            Rng* rng);
+  int Build(TreeBuildState* state, size_t begin, size_t end, int num_classes,
+            const TreeOptions& options, int depth, Rng* rng);
 
   std::vector<Node> nodes_;
   std::vector<double> feature_gains_;

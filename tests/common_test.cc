@@ -205,7 +205,7 @@ TEST(StrUtilTest, ParseInt64) {
 TEST(TimerTest, MeasuresElapsed) {
   WallTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GE(t.Seconds(), 0.0);
   EXPECT_GE(t.Millis(), t.Seconds() * 1000.0 - 1e-9);
 }
