@@ -153,6 +153,19 @@ FEATLIB_FAULT_SWEEP_SEEDS="${FEATLIB_FAULT_SWEEP_SEEDS:-16}" \
 FEATLIB_FAULT_PROB="${FEATLIB_FAULT_PROB:-0.08}" \
   "$ROOT/build/fault_sweep_test"
 
+# ---- Tree differential sweep: presorted trees vs the sort-per-node oracle ---
+# (tree_test grows GradientTree and ClassificationTree on randomized data —
+# ties, signed zeros, binary/int/constant columns, bootstrap multisets,
+# subsamples, feature subsets — and requires every tree to be bit-identical
+# to a test-only copy of the builder that sorts at every node. The base seed
+# rotates with the date like the fault sweep's and is printed, so any
+# failure reproduces from the log.)
+TREE_BASE_SEED="${FEATLIB_TREE_SEED:-$(( $(date +%s) / 86400 * 512 ))}"
+echo "ci.sh: tree differential sweep base seed $TREE_BASE_SEED"
+FEATLIB_TREE_SEED="$TREE_BASE_SEED" \
+FEATLIB_TREE_SWEEP_SEEDS="${FEATLIB_TREE_SWEEP_SEEDS:-512}" \
+  "$ROOT/build/tree_test" --gtest_filter='TreeDifferentialTest.*'
+
 # ---- Kill-resume sweep: durable fit crash-safety invariant ------------------
 # (checkpoint_sweep_test kills a checkpointed fit at injected crash points
 # (checkpoint round boundaries), resumes from whatever the dying run left on

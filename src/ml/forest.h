@@ -27,6 +27,10 @@ struct RandomForestOptions {
 
 /// \brief Random forest for classification (Gini trees, averaged class
 /// distributions) and regression (mean-predicting gradient trees).
+///
+/// Fit sorts every feature of the training set once (SortedFeatures); each
+/// tree filters that shared order down to its bootstrap sample instead of
+/// sorting (tree.h). Training features must be NaN-free.
 class RandomForestModel : public Model {
  public:
   RandomForestModel(TaskKind task, RandomForestOptions options = {});

@@ -29,6 +29,10 @@ struct GbdtOptions {
 };
 
 /// \brief XGBoost-style gradient boosted trees.
+///
+/// Fit sorts every feature of the training set once (SortedFeatures) and
+/// grows the tree of every round and head over that shared order, so no
+/// round re-sorts (tree.h). Training features must be NaN-free.
 class GbdtModel : public Model {
  public:
   GbdtModel(TaskKind task, GbdtOptions options = {});

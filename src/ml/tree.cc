@@ -12,7 +12,9 @@ SortedFeatures::SortedFeatures(const Dataset& ds)
     : n_(ds.n), d_(ds.d), entries_(ds.n * ds.d) {
   for (size_t f = 0; f < d_; ++f) {
     Entry* col = entries_.data() + f * n_;
-    for (size_t r = 0; r < n_; ++r) col[r] = Entry{ds.At(r, f), static_cast<uint32_t>(r)};
+    for (size_t r = 0; r < n_; ++r) {
+      col[r] = Entry{ds.At(r, f), static_cast<uint32_t>(r)};
+    }
     // The order std::sort gives (value, row) pairs; total because no NaN.
     std::sort(col, col + n_, [](const Entry& a, const Entry& b) {
       return a.value < b.value || (a.value == b.value && a.row < b.row);
@@ -21,8 +23,8 @@ SortedFeatures::SortedFeatures(const Dataset& ds)
 }
 
 /// One tree's build state. `rows` is the tree's row multiset, partitioned
-/// in place per split exactly as the per-node-sort builder did it (node
-/// totals are summed in its order). `lists` holds, for every feature, the
+/// in place by std::partition at each split; node totals are summed in its
+/// order, which fixes their rounding. `lists` holds, for every feature, the
 /// same multiset in ascending (value, row) order; the node covering
 /// [begin, end) of `rows` covers [begin, end) of every list.
 class TreeBuildState {
@@ -66,17 +68,11 @@ class TreeBuildState {
   }
 
   /// Splits [begin, end) at (feature, threshold): the row partition, then
-  /// the list partition if a child can split again (a child that cannot
-  /// never reads its lists). Returns the split point; begin or end means
-  /// the split is numerically degenerate and the node stays a leaf.
-  size_t Split(size_t begin, size_t end, size_t feature, double threshold,
-               int child_depth, const TreeOptions& options) {
+  /// the list partition. Returns the split point; begin or end means the
+  /// split is numerically degenerate and the node stays a leaf.
+  size_t Split(size_t begin, size_t end, size_t feature, double threshold) {
     const size_t mid = PartitionRows(begin, end, feature, threshold);
-    if (mid == begin || mid == end) return mid;
-    if (child_depth < options.max_depth &&
-        std::max(mid - begin, end - mid) >= options.min_samples_split) {
-      PartitionLists(begin, mid, end);
-    }
+    if (mid != begin && mid != end) PartitionLists(begin, mid, end);
     return mid;
   }
 
@@ -186,8 +182,8 @@ int GradientTree::Build(TreeBuildState* state, size_t begin, size_t end,
 
   if (best_feature < 0) return node_id;
 
-  const size_t mid = state->Split(begin, end, static_cast<size_t>(best_feature),
-                                  best_threshold, depth + 1, options);
+  const size_t mid =
+      state->Split(begin, end, static_cast<size_t>(best_feature), best_threshold);
   if (mid == begin || mid == end) return node_id;  // numerically degenerate
 
   feature_gains_[static_cast<size_t>(best_feature)] += best_gain;
@@ -296,8 +292,8 @@ int ClassificationTree::Build(TreeBuildState* state, size_t begin, size_t end,
 
   if (best_feature < 0) return node_id;
 
-  const size_t mid = state->Split(begin, end, static_cast<size_t>(best_feature),
-                                  best_threshold, depth + 1, options);
+  const size_t mid =
+      state->Split(begin, end, static_cast<size_t>(best_feature), best_threshold);
   if (mid == begin || mid == end) return node_id;
 
   feature_gains_[static_cast<size_t>(best_feature)] +=
