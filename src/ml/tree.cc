@@ -67,37 +67,19 @@ class TreeBuildState {
     return features_;
   }
 
-  /// Splits [begin, end) at (feature, threshold): the row partition, then
-  /// the list partition. Returns the split point; begin or end means the
-  /// split is numerically degenerate and the node stays a leaf.
+  /// Splits [begin, end) at (feature, threshold) and returns the split
+  /// point; begin or end means the split is numerically degenerate and the
+  /// node stays a leaf. The rows partition with std::partition; then every
+  /// feature's list partitions stably with the rows' left/right decision,
+  /// so each child's lists stay in ascending (value, row) order.
   size_t Split(size_t begin, size_t end, size_t feature, double threshold) {
-    const size_t mid = PartitionRows(begin, end, feature, threshold);
-    if (mid != begin && mid != end) PartitionLists(begin, mid, end);
-    return mid;
-  }
-
-  std::vector<uint32_t> rows;
-  /// Classification scratch: per-row class index and per-class counts.
-  std::vector<size_t> label;
-  std::vector<double> counts;
-  std::vector<double> left_counts;
-  std::vector<double> right_counts;
-
- private:
-  /// Partitions rows[begin, end) around `x[feature] <= threshold` exactly as
-  /// std::partition does and returns the split point.
-  size_t PartitionRows(size_t begin, size_t end, size_t feature, double threshold) {
     auto middle = std::partition(
         rows.begin() + static_cast<ptrdiff_t>(begin),
         rows.begin() + static_cast<ptrdiff_t>(end),
         [&](uint32_t r) { return ds_.At(r, feature) <= threshold; });
-    return static_cast<size_t>(middle - rows.begin());
-  }
+    const size_t mid = static_cast<size_t>(middle - rows.begin());
+    if (mid == begin || mid == end) return mid;
 
-  /// After PartitionRows: stably partitions every feature's list over
-  /// [begin, end) with the rows' left/right decision, so each child's
-  /// lists stay in ascending (value, row) order.
-  void PartitionLists(size_t begin, size_t mid, size_t end) {
     for (size_t i = begin; i < mid; ++i) goes_left_[rows[i]] = 1;
     for (size_t i = mid; i < end; ++i) goes_left_[rows[i]] = 0;
     for (size_t f = 0; f < d_; ++f) {
@@ -115,8 +97,17 @@ class TreeBuildState {
       std::copy(scratch_.begin(), scratch_.begin() + static_cast<ptrdiff_t>(right),
                 list + left);
     }
+    return mid;
   }
 
+  std::vector<uint32_t> rows;
+  /// Classification scratch: per-row class index and per-class counts.
+  std::vector<size_t> label;
+  std::vector<double> counts;
+  std::vector<double> left_counts;
+  std::vector<double> right_counts;
+
+ private:
   const Dataset& ds_;
   size_t m_;
   size_t d_;
