@@ -38,10 +38,11 @@
 #include "query/executor.h"
 #include "stats/stats.h"
 
-// The executor speedup record lands at the repo root (set by CMake) so it is
-// found in one place regardless of where the binary runs.
-#ifndef FEATLIB_REPO_ROOT
-#define FEATLIB_REPO_ROOT "."
+// The executor speedup record lands in the build tree (set by CMake) so it is
+// found in one place regardless of where the binary runs, and running the
+// bench never rewrites a file under version control.
+#ifndef FEATLIB_BENCH_RECORD_DIR
+#define FEATLIB_BENCH_RECORD_DIR "."
 #endif
 
 namespace featlib {
@@ -559,6 +560,12 @@ BENCHMARK(BM_KernelScalarVsSimd)->Arg(0)->Arg(1);
 
 }  // namespace
 
+// Middle element of `v` (the upper one of an even-sized sample).
+static double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 // True when every (row, candidate) cell matches bit for bit (NaN == NaN).
 static bool ColumnsBitIdentical(const std::vector<double>& a,
                                 const std::vector<double>& b) {
@@ -830,44 +837,16 @@ int WriteExecutorSpeedupRecord(const char* path,
   }
   const double search_batched_seconds = timer.Seconds();
 
-  // The repeated-pool compile-memoization workload: successive HPO rounds
-  // re-plan heavily overlapping pools through one warm planner; the overlap
-  // resolves from the compile memo instead of re-validating and re-deriving
-  // artifact keys.
-  QueryPlanner repeated_pool_planner;
-  constexpr size_t kMemoRounds = 6;
-  const size_t window = (candidates.size() * 2) / 3;
-  const size_t stride = std::max<size_t>(1, candidates.size() / 4);
-  for (size_t round = 0; round < kMemoRounds; ++round) {
-    std::vector<AggQuery> pool;
-    pool.reserve(window);
-    for (size_t k = 0; k < window; ++k) {
-      pool.push_back(candidates[(round * stride + k) % candidates.size()]);
-    }
-    auto result =
-        repeated_pool_planner.EvaluateMany(pool, b.training, b.relevant);
-    if (!result.ok()) {
-      std::fprintf(stderr, "repeated-pool round %zu failed: %s\n", round,
-                   result.status().ToString().c_str());
-      return 1;
-    }
-  }
-  const size_t compile_hits = repeated_pool_planner.compile_cache_hits();
-  const size_t compile_misses = repeated_pool_planner.compile_cache_misses();
-  const double plan_compile_hit_rate =
-      compile_hits + compile_misses > 0
-          ? static_cast<double>(compile_hits) /
-                static_cast<double>(compile_hits + compile_misses)
-          : 0.0;
-
   // ExecContext overhead: the cooperative limit checks (cancellation /
   // deadline probes at chunk and stage boundaries, budget CAS charges) must
   // be invisible when no limit is set. Both arms run the same warm-planner
-  // batch; best-of-k interleaved repeats cancel drift, and the CI gate
-  // (scripts/ci.sh) asserts the ratio stays under 2%.
-  constexpr int kCtxReps = 7;
+  // batch in interleaved pairs, alternating which arm goes first so neither
+  // always runs on a warmer cache or a calmer host; the gated ratio is the
+  // median of the per-pair on/off ratios (scripts/ci.sh asserts < 1.02).
+  constexpr int kCtxPairs = 21;
   constexpr int kCtxCallsPerRep = 3;
   double ctx_off_seconds = 0.0, ctx_on_seconds = 0.0;
+  double exec_context_overhead = 1.0;
   {
     QueryPlanner warm_off, warm_on;
     ExecContext unlimited;  // no deadline, no budget: checks always pass
@@ -876,28 +855,34 @@ int WriteExecutorSpeedupRecord(const char* path,
         warm_off.EvaluateMany(candidates, b.training, b.relevant));
     benchmark::DoNotOptimize(
         warm_on.EvaluateMany(candidates, b.training, b.relevant, &unlimited));
-    double off_best = 0.0, on_best = 0.0;
-    for (int rep = 0; rep < kCtxReps; ++rep) {
+    auto time_arm = [&](bool with_ctx) {
+      QueryPlanner& planner = with_ctx ? warm_on : warm_off;
       timer.Restart();
       for (int c = 0; c < kCtxCallsPerRep; ++c) {
-        benchmark::DoNotOptimize(
-            warm_off.EvaluateMany(candidates, b.training, b.relevant));
+        benchmark::DoNotOptimize(planner.EvaluateMany(
+            candidates, b.training, b.relevant,
+            with_ctx ? &unlimited : nullptr));
       }
-      const double off = timer.Seconds();
-      timer.Restart();
-      for (int c = 0; c < kCtxCallsPerRep; ++c) {
-        benchmark::DoNotOptimize(warm_on.EvaluateMany(candidates, b.training,
-                                                      b.relevant, &unlimited));
+      return timer.Seconds();
+    };
+    std::vector<double> off_times, on_times, ratios;
+    for (int pair = 0; pair < kCtxPairs; ++pair) {
+      double off = 0.0, on = 0.0;
+      if (pair % 2 == 0) {
+        off = time_arm(false);
+        on = time_arm(true);
+      } else {
+        on = time_arm(true);
+        off = time_arm(false);
       }
-      const double on = timer.Seconds();
-      if (rep == 0 || off < off_best) off_best = off;
-      if (rep == 0 || on < on_best) on_best = on;
+      off_times.push_back(off);
+      on_times.push_back(on);
+      if (off > 0.0) ratios.push_back(on / off);
     }
-    ctx_off_seconds = off_best;
-    ctx_on_seconds = on_best;
+    ctx_off_seconds = Median(off_times);
+    ctx_on_seconds = Median(on_times);
+    if (!ratios.empty()) exec_context_overhead = Median(ratios);
   }
-  const double exec_context_overhead =
-      ctx_off_seconds > 0.0 ? ctx_on_seconds / ctx_off_seconds : 1.0;
 
   // Durable-fit overhead: the same small fit with checkpointing off vs on
   // (atomic snapshot writes at round boundaries). With the async
@@ -1008,12 +993,8 @@ int WriteExecutorSpeedupRecord(const char* path,
                      on_cpu[rep], rep % 2 == 0 ? "off" : "on");
       }
     }
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v[v.size() / 2];
-    };
-    checkpoint_off_seconds = median(off_times);
-    checkpoint_on_seconds = median(on_times);
+    checkpoint_off_seconds = Median(off_times);
+    checkpoint_on_seconds = Median(on_times);
     // Gate on fit-thread CPU (median of per-rep ratios): deterministic work
     // is what checkpointing adds to the critical path, and CPU time does
     // not see the machine jitter that wall-clock does.
@@ -1021,18 +1002,17 @@ int WriteExecutorSpeedupRecord(const char* path,
     for (int rep = 0; rep < kCkptReps; ++rep) {
       if (off_cpu[rep] > 0.0) cpu_ratios.push_back(on_cpu[rep] / off_cpu[rep]);
     }
-    checkpoint_overhead = cpu_ratios.empty() ? 1.0 : median(cpu_ratios);
+    checkpoint_overhead = cpu_ratios.empty() ? 1.0 : Median(cpu_ratios);
   }
 
   // ---- Out-of-core morsel execution (query/morsel.h): a 10× table where
   // whole-table artifacts dominate memory. Measures the peak ExecContext
   // charge of the single-pass path vs the morsel pipeline (the bounded-
-  // memory claim, gated < 0.5 by scripts/ci.sh), byte-identity of every
-  // column, and the build/combine overlap win of the prefetch stage. ----
+  // memory claim, gated < 0.5 by scripts/ci.sh) and byte-identity of every
+  // column. ----
   size_t morsel_peak_bytes = 0;
   size_t morsel_single_pass_peak_bytes = 0;
   bool morsel_bit_identical = true;
-  double morsel_prefetch_speedup = 0.0;
   double morsel_rows_used = 0.0;
   {
     SyntheticOptions big_options;
@@ -1067,21 +1047,11 @@ int WriteExecutorSpeedupRecord(const char* path,
     }
     morsel_single_pass_peak_bytes = single_pass_ctx.peak_charged_bytes();
 
-    auto run_morsel = [&](bool prefetch, const ExecContext* ctx,
-                          double* seconds)
-        -> Result<std::vector<std::vector<double>>> {
-      QueryPlanner planner;
-      planner.set_morsel_rows(morsel_rows);
-      planner.set_morsel_prefetch(prefetch);
-      WallTimer morsel_timer;
-      auto out =
-          planner.EvaluateMany(morsel_queries, big.training, big.relevant, ctx);
-      if (seconds != nullptr) *seconds = morsel_timer.Seconds();
-      return out;
-    };
     ExecContext morsel_ctx;
-    double prefetch_seconds = 0.0;
-    auto morsel_out = run_morsel(true, &morsel_ctx, &prefetch_seconds);
+    QueryPlanner morsel_planner;
+    morsel_planner.set_morsel_rows(morsel_rows);
+    auto morsel_out = morsel_planner.EvaluateMany(morsel_queries, big.training,
+                                                  big.relevant, &morsel_ctx);
     if (!morsel_out.ok()) {
       std::fprintf(stderr, "morsel evaluation failed: %s\n",
                    morsel_out.status().ToString().c_str());
@@ -1095,25 +1065,6 @@ int WriteExecutorSpeedupRecord(const char* path,
         morsel_bit_identical = false;
       }
     }
-    double no_prefetch_seconds = 0.0;
-    auto sequential_out = run_morsel(false, nullptr, &no_prefetch_seconds);
-    if (!sequential_out.ok()) {
-      std::fprintf(stderr, "morsel (prefetch off) evaluation failed: %s\n",
-                   sequential_out.status().ToString().c_str());
-      return 1;
-    }
-    for (size_t i = 0; i < morsel_queries.size(); ++i) {
-      if (!ColumnsBitIdentical(single_out.value()[i],
-                               sequential_out.value()[i])) {
-        morsel_bit_identical = false;
-      }
-    }
-    // >1 when overlapping build(i+1) with combine(i) paid; ~1.0 on a
-    // single-core host (recorded, not gated — the identity claims are the
-    // contract, the overlap is opportunistic).
-    morsel_prefetch_speedup = prefetch_seconds > 0.0
-                                  ? no_prefetch_seconds / prefetch_seconds
-                                  : 0.0;
   }
 
   const double batched_seconds = sweep_seconds.front();  // 1-thread batched
@@ -1193,11 +1144,6 @@ int WriteExecutorSpeedupRecord(const char* path,
                : 0.0)
       .Add("search_proxy_cache_hits",
            static_cast<double>(search_proxy_cache_hits))
-      // The repeated-pool benchmark: overlapping pools re-planned through
-      // one warm planner resolve from the compile memo.
-      .Add("plan_compile_hits", static_cast<double>(compile_hits))
-      .Add("plan_compile_misses", static_cast<double>(compile_misses))
-      .Add("plan_compile_hit_rate", plan_compile_hit_rate)
       // Cost of the cooperative execution-limit checks when no limit is set
       // (ratio of the with-context arm over the no-context arm; 1.0 = free).
       .Add("exec_context_off_seconds", ctx_off_seconds)
@@ -1212,13 +1158,12 @@ int WriteExecutorSpeedupRecord(const char* path,
       .Add("checkpoint_plan_identical", checkpoint_plan_identical)
       // Out-of-core morsel execution on the 10× table: peak artifact memory
       // of the bounded pipeline vs the whole-table single pass, byte-identity
-      // of every column, and the prefetch overlap win.
+      // of every column.
       .Add("morsel_rows", morsel_rows_used)
       .Add("morsel_peak_bytes", static_cast<double>(morsel_peak_bytes))
       .Add("morsel_single_pass_peak_bytes",
            static_cast<double>(morsel_single_pass_peak_bytes))
       .Add("morsel_bit_identical", morsel_bit_identical)
-      .Add("morsel_prefetch_speedup", morsel_prefetch_speedup)
       .Add("bit_identical", bit_identical);
   Status write_status = record.WriteTo(path);
   if (!write_status.ok()) {
@@ -1283,5 +1228,5 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (list_only) return 0;
   return featlib::WriteExecutorSpeedupRecord(
-      FEATLIB_REPO_ROOT "/BENCH_executor.json", thread_counts);
+      FEATLIB_BENCH_RECORD_DIR "/BENCH_executor.json", thread_counts);
 }

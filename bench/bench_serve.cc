@@ -9,7 +9,7 @@
 ///
 /// Appends/replaces the serve_* fields of the flat one-line JSON record at
 /// --out (default: BENCH_executor.json in the cwd — scripts/ci.sh points it
-/// at the repo root copy bench_micro wrote, and asserts the fields):
+/// at the build-tree copy bench_micro wrote, and asserts the fields):
 ///
 ///   serve_p50_seconds        median end-to-end request latency
 ///   serve_p99_seconds        99th-percentile end-to-end request latency

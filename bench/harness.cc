@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/str_util.h"
 
@@ -274,7 +275,11 @@ JsonRecord& JsonRecord::Add(const std::string& key, double value) {
 }
 
 JsonRecord& JsonRecord::Add(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  const std::string escaped = JsonEscape(value);
+  std::string quoted;
+  quoted.reserve(escaped.size() + 2);
+  quoted.append(1, '"').append(escaped).append(1, '"');
+  fields_.emplace_back(key, std::move(quoted));
   return *this;
 }
 

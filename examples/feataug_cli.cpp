@@ -259,19 +259,13 @@ int RunCli(const CliArgs& args) {
   // how much friction (skipped candidates, build retries) it ran into.
   {
     const AugmentationPlan& p = plan.value();
-    const size_t compile_total = p.compile_cache_hits + p.compile_cache_misses;
     std::printf(
         "fit diagnostics: %zu model evals, %zu proxy evals, "
         "%zu model / %zu proxy cache hits\n",
         p.model_evals, p.proxy_evals, p.model_cache_hits, p.proxy_cache_hits);
     std::printf(
-        "                 %zu failed candidates, %zu build retries, "
-        "plan-compile hit rate %.1f%% (%zu/%zu)\n",
-        p.failed_candidates.size(), p.build_retries,
-        compile_total == 0 ? 0.0
-                           : 100.0 * static_cast<double>(p.compile_cache_hits) /
-                                 static_cast<double>(compile_total),
-        p.compile_cache_hits, compile_total);
+        "                 %zu failed candidates, %zu build retries\n",
+        p.failed_candidates.size(), p.build_retries);
     if (!p.failed_candidates.empty()) {
       std::printf("                 first failure: %s\n",
                   p.failed_candidates.front().status.ToString().c_str());

@@ -169,32 +169,6 @@ Status ThreadPool::ParallelForStages(const std::vector<Stage>& stages,
   return Status::OK();
 }
 
-AsyncStage::~AsyncStage() {
-  // Join a still-active task so an error-path unwind never leaks the
-  // thread; its Status is discarded (the pipeline already failed).
-  if (thread_.joinable()) thread_.join();
-}
-
-void AsyncStage::Launch(std::function<Status()> fn) {
-  FEAT_CHECK(!active_, "AsyncStage::Launch with a task already in flight");
-  active_ = true;
-  thread_ = std::thread([this, fn = std::move(fn)]() {
-    try {
-      status_ = fn();
-    } catch (...) {
-      status_ = StatusFromCurrentException();
-    }
-  });
-}
-
-Status AsyncStage::Await() {
-  FEAT_CHECK(active_, "AsyncStage::Await without a launched task");
-  thread_.join();  // join orders every task write before the return
-  thread_ = std::thread();
-  active_ = false;
-  return std::move(status_);
-}
-
 ThreadPool* GlobalThreadPool() {
   static ThreadPool pool(FeatAugConfig::Global().ResolvedNumThreads());
   return &pool;

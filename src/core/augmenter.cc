@@ -201,8 +201,6 @@ Result<std::unique_ptr<FittedAugmenter>> MakeFittedAugmenter(
   diag.proxy_cache_hits = plan.proxy_cache_hits;
   diag.model_cache_hits = plan.model_cache_hits;
   diag.build_retries = plan.build_retries;
-  diag.compile_cache_hits = plan.compile_cache_hits;
-  diag.compile_cache_misses = plan.compile_cache_misses;
   diag.failed_candidates = std::move(plan.failed_candidates);
   std::vector<FittedAugmenter::Source> sources;
   sources.push_back(std::move(source));

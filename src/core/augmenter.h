@@ -59,9 +59,11 @@ struct FitDiagnostics {
   size_t generation_model_evals = 0;
   size_t proxy_cache_hits = 0;
   size_t model_cache_hits = 0;
-  /// Planner-side health counters (see AugmentationPlan): retry pressure on
-  /// artifact builds and compile-memo reuse across HPO rounds.
+  /// Planner-side health counter (see AugmentationPlan): retry pressure on
+  /// artifact builds.
   size_t build_retries = 0;
+  /// Always 0: the planner has no compile memo. Kept because the end-to-end
+  /// benchmark's record reads them.
   size_t compile_cache_hits = 0;
   size_t compile_cache_misses = 0;
   /// Candidates the search skipped via partial-failure isolation (content

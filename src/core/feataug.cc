@@ -243,8 +243,6 @@ Result<AugmentationPlan> FeatAug::Fit() {
       qti_c.model_cache_hits + warm_c.model_cache_hits + gen_c.model_cache_hits;
   plan.failed_candidates = session.failed_candidates();
   plan.build_retries = evaluator_->planner().build_retries_total();
-  plan.compile_cache_hits = evaluator_->planner().compile_cache_hits();
-  plan.compile_cache_misses = evaluator_->planner().compile_cache_misses();
   plan.resumed_from_checkpoint = resumed;
   if (checkpoint != nullptr) {
     // The completed fit's state stays on disk (a no-op when the last

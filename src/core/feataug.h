@@ -91,10 +91,6 @@ struct AugmentationPlan {
   size_t model_cache_hits = 0;
   /// Artifact-build re-attempts taken under the planner's RetryPolicy.
   size_t build_retries = 0;
-  /// Cumulative compile-memo counters of the fit's planner (candidate
-  /// resolutions reused across HPO rounds vs derived fresh).
-  size_t compile_cache_hits = 0;
-  size_t compile_cache_misses = 0;
   /// Durable fit: snapshots persisted during this run, and whether the
   /// search started from a restored checkpoint.
   size_t checkpoints_written = 0;

@@ -128,7 +128,7 @@ class FeatureEvaluator {
   /// an epoch, entries it touches are stamped, and eviction only removes
   /// entries from older epochs — an in-flight batch can never evict its own
   /// working set (the cache may temporarily exceed the cap instead).
-  /// Evicted columns re-materialize through the planner's memoized compile.
+  /// Evicted columns re-materialize through the planner.
   /// @{
   void set_feature_cache_cap_bytes(size_t cap) {
     feature_cache_cap_bytes_ = cap;
@@ -140,7 +140,7 @@ class FeatureEvaluator {
   /// @}
 
   /// The shared candidate-evaluation engine (introspection: PlanStats,
-  /// compile-memo hit counters, store counters).
+  /// store counters).
   const QueryPlanner& planner() const { return planner_; }
 
   /// Cooperative execution limits (deadline / cancellation / memory budget),
@@ -149,14 +149,11 @@ class FeatureEvaluator {
   void set_exec_context(const ExecContext* ctx) { ctx_ = ctx; }
   const ExecContext* exec_context() const { return ctx_; }
 
-  /// \name Out-of-core morsel streaming (query/morsel.h), forwarded to the
+  /// Out-of-core morsel streaming (query/morsel.h), forwarded to the
   /// shared planner. 0 rows (the default) keeps the in-RAM artifact path;
   /// non-zero streams every uncached materialization below this point in
   /// bounded-memory morsels (bit-identical results).
-  /// @{
   void set_morsel_rows(size_t rows) { planner_.set_morsel_rows(rows); }
-  void set_morsel_prefetch(bool on) { planner_.set_morsel_prefetch(on); }
-  /// @}
 
  private:
   FeatureEvaluator() = default;

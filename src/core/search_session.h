@@ -37,7 +37,7 @@
 ///
 /// A session holds no table data itself; feature columns live in the
 /// evaluator's byte-capped feature cache, and evicted columns re-materialize
-/// through the planner's memoized compile step.
+/// through the planner.
 
 #include <string>
 #include <unordered_map>

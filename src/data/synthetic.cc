@@ -142,7 +142,7 @@ DatasetBundle MakeTmall(const SyntheticOptions& options) {
     user_id[e] = static_cast<int64_t>(e);
     merchant_id[e] = static_cast<int64_t>(rng.UniformInt(40));
     age[e] = 25.0 + 20.0 * rng.Uniform();
-    gender[e] = rng.Bernoulli(0.5) ? "F" : "M";
+    gender[e].assign(1, rng.Bernoulli(0.5) ? 'F' : 'M');
     base_effect[e] = 0.8 * (age[e] - 35.0) / 10.0 + (gender[e] == "F" ? 0.4 : 0.0);
   }
 

@@ -3,7 +3,7 @@
 /// \file morsel.h
 /// \brief Out-of-core morsel execution: row-range partitioning of the
 /// relevant table, bounded-memory streaming aggregation with deterministic
-/// cross-morsel combiners, and a double-buffered build/combine pipeline.
+/// cross-morsel combiners, and a sequential build/combine loop.
 ///
 /// The in-RAM planner path (query/query_planner.h) builds every artifact —
 /// group index row ids, selection masks, value views — over the *whole*
@@ -14,9 +14,9 @@
 /// gathered by Column::Take, which shares string dictionaries, so predicate
 /// compilation, key encoding, and the SIMD kernels all run unchanged on the
 /// morsel-local row space), and per-candidate **combiners** fold each
-/// morsel's rows into per-group accumulators. Only the in-flight morsels'
-/// artifacts are alive at any time, so peak artifact memory is ~2 morsels
-/// plus the per-group state — never the whole table.
+/// morsel's rows into per-group accumulators. Only one morsel's artifacts
+/// are alive at any time, so peak artifact memory is ~1 morsel plus the
+/// per-group state — never the whole table.
 ///
 /// **Bit-identity contract.** Morsels are processed strictly in ascending
 /// row order and group ids are assigned first-seen across morsels
@@ -37,18 +37,16 @@
 /// The result is byte-identical to the single-pass path at every morsel
 /// size and thread count (tests/morsel_test.cc sweeps both).
 ///
-/// **Prefetch pipeline.** While the ThreadPool fans the candidate combiners
-/// out over morsel i, an AsyncStage thread builds morsel i+1's artifacts
-/// (builds are strictly sequential — the group-id assignment order *is* the
-/// determinism contract — so one prefetch thread is the maximum useful
-/// build parallelism). Happens-before chain: build(i) -> Await -> combine(i)
-/// || build(i+1) -> Await -> combine(i+1): combiners only read MorselData
-/// the preceding Await ordered, and the builder is only mutated by the one
-/// in-flight build.
+/// **Loop.** Each sweep visits the morsels in order: charge, build on the
+/// caller thread (builds are strictly sequential — the group-id assignment
+/// order *is* the determinism contract), combine with the candidates fanned
+/// out over the ThreadPool, release. Overlapping build(i+1) with combine(i)
+/// on a prefetch thread measured no faster end to end (scoring on 10^6-row
+/// tables) and held two morsels in flight, so the loop does not overlap.
 ///
 /// **Memory bound.** Each morsel's estimated artifact bytes are charged to
 /// the ExecContext before its build starts and released after its combine,
-/// so a budget bounds the pipeline at ~2 in-flight morsels; combiner-state
+/// so a budget bounds the pipeline at ~1 in-flight morsel; combiner-state
 /// growth and the finished key maps / per-group features are charged as
 /// they appear. ExecContext::peak_charged_bytes() measures the bound.
 
@@ -101,9 +99,6 @@ class MorselSet {
 struct MorselOptions {
   /// Rows per morsel; 0 = whole table as one morsel.
   size_t morsel_rows = 0;
-  /// Overlap morsel i+1's artifact build with morsel i's combine on a
-  /// dedicated AsyncStage thread. Off = fully sequential (same bytes).
-  bool prefetch = true;
   /// Pool for the per-candidate combine fan-out; nullptr = serial.
   ThreadPool* pool = nullptr;
   /// Kernel table for mask builds; nullptr resolves the configured backend.
@@ -118,7 +113,8 @@ struct MorselExecStats {
   size_t morsels = 0;
   /// 1, or 2 when a two-pass aggregate (VAR family / KURTOSIS) re-streamed.
   size_t sweeps = 0;
-  /// Builds launched on the prefetch thread (overlapped with a combine).
+  /// Always 0: morsel builds run on the caller thread. Kept because the
+  /// end-to-end benchmark's record reads it.
   size_t prefetched_builds = 0;
   /// Executor-tracked peak of in-flight morsel artifacts + combiner state +
   /// finished key maps and features (same accounting the ExecContext sees).
@@ -147,8 +143,8 @@ struct MorselResult {
 };
 
 /// Runs the full morsel pipeline over `queries`: compile (dedup group /
-/// filter / view specs), then per sweep the sequential build + parallel
-/// combine pipeline with double-buffered prefetch, then finalize.
+/// filter / view specs), then per sweep one sequential build + parallel
+/// combine step per morsel, then finalize.
 ///
 /// Failure contract mirrors QueryPlanner: with `slot_errors` == nullptr the
 /// first failure fails the call; otherwise `slot_errors` must be pre-sized

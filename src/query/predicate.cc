@@ -51,7 +51,8 @@ std::string Predicate::ToSql(DataType attr_type) const {
 std::string Predicate::CacheKey() const {
   std::string out = attr;
   if (kind == Kind::kEquals) {
-    out += "=" + equals_value.ToSqlLiteral();
+    out += '=';
+    out += equals_value.ToSqlLiteral();
   } else {
     out += StrFormat("[%s,%s]", has_lo ? StrFormat("%.9g", lo).c_str() : "-inf",
                      has_hi ? StrFormat("%.9g", hi).c_str() : "+inf");

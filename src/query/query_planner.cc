@@ -110,6 +110,37 @@ std::string BucketKey(const std::string& group_key, const std::string& agg_attr,
   return out;
 }
 
+// A candidate's compile resolution: its validation outcome and the artifact
+// cache keys the compile pass interns. Batch-dependent choices
+// (shared-bucket materialization, store hits) resolve per batch from these.
+struct CompiledShape {
+  std::string group_key;
+  // Indices of non-trivial predicates in the query's predicate list, with
+  // their cache keys (parallel vectors).
+  std::vector<uint32_t> active_preds;
+  std::vector<std::string> pred_keys;
+  // Conjunction cache key; empty unless active_preds.size() >= 2.
+  std::string combo_key;
+  // Bucket key (group keys + agg attribute + predicates).
+  std::string bucket_key;
+};
+
+Result<CompiledShape> CompileShape(const AggQuery& q, const Table& relevant) {
+  FEAT_RETURN_NOT_OK(q.Validate(relevant));
+  CompiledShape shape;
+  shape.group_key = StrJoin(q.group_keys, "\x1f");
+  for (size_t j = 0; j < q.predicates.size(); ++j) {
+    if (q.predicates[j].IsTrivial()) continue;
+    shape.active_preds.push_back(static_cast<uint32_t>(j));
+    shape.pred_keys.push_back(q.predicates[j].CacheKey());
+  }
+  if (shape.active_preds.size() >= 2) {
+    shape.combo_key = ComboKey(shape.pred_keys);
+  }
+  shape.bucket_key = BucketKey(shape.group_key, q.agg_attr, shape.pred_keys);
+  return shape;
+}
+
 // ---- Compile-time artifact request graph -----------------------------------
 //
 // One request per *distinct* artifact the batch needs; candidates reference
@@ -217,35 +248,6 @@ int QueryPlanner::RetryDelayMs(const RetryPolicy& policy, int attempt,
   return static_cast<int>(half + static_cast<int64_t>(x % span));
 }
 
-Result<const QueryPlanner::CompiledShape*> QueryPlanner::ResolveShape(
-    const AggQuery& q, const Table& relevant) {
-  std::string content_key = q.CacheKey();
-  auto it = compile_cache_.find(content_key);
-  if (it != compile_cache_.end()) {
-    ++plan_stats_.compile_hits;
-    ++compile_cache_hits_;
-    return &it->second;
-  }
-  FEAT_RETURN_NOT_OK(q.Validate(relevant));
-  CompiledShape shape;
-  shape.group_key = StrJoin(q.group_keys, "\x1f");
-  for (size_t j = 0; j < q.predicates.size(); ++j) {
-    if (q.predicates[j].IsTrivial()) continue;
-    shape.active_preds.push_back(static_cast<uint32_t>(j));
-    shape.pred_keys.push_back(q.predicates[j].CacheKey());
-  }
-  if (shape.active_preds.size() >= 2) {
-    shape.combo_key = ComboKey(shape.pred_keys);
-  }
-  shape.bucket_key = BucketKey(shape.group_key, q.agg_attr, shape.pred_keys);
-  ++plan_stats_.compile_misses;
-  ++compile_cache_misses_;
-  auto [inserted_it, inserted] =
-      compile_cache_.emplace(std::move(content_key), std::move(shape));
-  (void)inserted;
-  return &inserted_it->second;
-}
-
 Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
     const std::vector<AggQuery>& queries, const Table* training,
     const Table& relevant, bool for_grouped_result, const ExecContext* ctx,
@@ -265,28 +267,19 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   // build, materialization, fan-out kernels) dispatches through this table.
   ops_ = &ResolveKernelOps(kernel_backend_);
 
-  // Over-cap memo is flushed between batches only: shape pointers resolved
-  // below stay valid for the whole Prepare.
-  if (compile_cache_.size() > compile_cache_cap_entries_) {
-    compile_cache_.clear();
-    ++compile_cache_flushes_;
-  }
-
-  // ---- Compile: resolve every candidate's memoized shape — validation and
-  // artifact-key derivation run only for content keys never seen by this
-  // planner — then one sequential pass dedups artifact requests and
-  // resolves what the store already holds (hits are epoch-stamped, pinning
-  // them for the whole batch). ----
-  std::vector<const CompiledShape*> shapes(queries.size());
+  // ---- Compile: validate every candidate and derive its artifact keys,
+  // then one sequential pass dedups artifact requests and resolves what the
+  // store already holds (hits are epoch-stamped, pinning them for the whole
+  // batch). ----
+  std::vector<std::optional<CompiledShape>> shapes(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto shape = ResolveShape(queries[i], relevant);
+    auto shape = CompileShape(queries[i], relevant);
     if (shape.ok()) {
-      shapes[i] = shape.value();
+      shapes[i] = std::move(shape).value();
     } else if (isolated) {
       // An invalid candidate is its own failure; the rest of the batch
       // plans as if it were never proposed.
       (*slot_errors)[i] = shape.status();
-      shapes[i] = nullptr;
     } else {
       return shape.status();
     }
@@ -297,8 +290,8 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
   // streaming kernel for streaming-family aggregates.
   std::unordered_map<std::string, int> bucket_counts;
   if (!for_grouped_result) {
-    for (const CompiledShape* shape : shapes) {
-      if (shape != nullptr) ++bucket_counts[shape->bucket_key];
+    for (const std::optional<CompiledShape>& shape : shapes) {
+      if (shape) ++bucket_counts[shape->bucket_key];
     }
   }
 
@@ -360,7 +353,7 @@ Result<std::vector<PlannedCandidate>> QueryPlanner::Prepare(
 
   std::vector<CandidateSpec> specs(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (shapes[i] == nullptr) continue;  // isolated compile failure
+    if (!shapes[i]) continue;  // isolated compile failure
     const AggQuery& q = queries[i];
     const CompiledShape& shape = *shapes[i];
     CandidateSpec& spec = specs[i];
@@ -892,7 +885,6 @@ Result<std::vector<std::vector<double>>> QueryPlanner::EvaluateManyMorsel(
   ops_ = &ResolveKernelOps(kernel_backend_);
   MorselOptions options;
   options.morsel_rows = ResolvedMorselRows();
-  options.prefetch = morsel_prefetch_;
   options.pool = pool_;
   options.ops = ops_;
   options.ctx = ctx;
@@ -1068,7 +1060,6 @@ Result<ServingPlan> QueryPlanner::CompileServingPlan(
     ops_ = &ResolveKernelOps(kernel_backend_);
     MorselOptions options;
     options.morsel_rows = ResolvedMorselRows();
-    options.prefetch = morsel_prefetch_;
     options.pool = pool_;
     options.ops = ops_;
     options.ctx = ctx;

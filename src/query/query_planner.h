@@ -18,19 +18,10 @@
 ///     looking up what the ArtifactStore already holds. The result is a
 ///     three-stage dependency DAG: conjunction masks depend on their
 ///     constituent predicate masks, training-row maps on their group index,
-///     and materializations on group index + mask + view.
-///
-///     Per-candidate resolution is **memoized across batches**: the first
-///     time a candidate content key (AggQuery::CacheKey) is seen, its
-///     validation and artifact-key derivation (group key, predicate keys,
-///     conjunction key, bucket key) run and the result is cached; a pool
-///     that overlaps a previous pool — the HPO-loop pattern, where
-///     successive search rounds re-plan nearly identical pools — skips
-///     re-resolution for the overlap and goes straight to the
-///     missing-artifact DAG. Memo entries are pure content (strings and
-///     indices, no artifact pointers), so store eviction never invalidates
-///     them; like every store shard they are bound to the planner's
-///     (training, relevant) pair.
+///     and materializations on group index + mask + view. Every call
+///     validates each candidate and derives its artifact keys afresh:
+///     FeatureEvaluator's feature cache answers repeat candidates before
+///     they reach the planner, so a per-planner compile memo never hit.
 ///
 ///  2. **Prepare (parallel)** — missing artifacts are built *off to the
 ///     side* on the ThreadPool, independent artifacts of a stage in
@@ -57,8 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.h"
@@ -143,11 +132,6 @@ class QueryPlanner {
   /// in-RAM path at every morsel size and thread count.
   void set_morsel_rows(size_t rows) { morsel_rows_ = rows; }
   size_t morsel_rows() const { return morsel_rows_; }
-
-  /// Build/combine overlap of the morsel pipeline (on by default). Identical
-  /// bytes either way — the toggle only changes wall-clock overlap.
-  void set_morsel_prefetch(bool on) { morsel_prefetch_ = on; }
-  bool morsel_prefetch() const { return morsel_prefetch_; }
 
   /// Stats of the last morsel-mode evaluation on this planner (zeroed when
   /// the last evaluation took the in-RAM path).
@@ -276,11 +260,6 @@ class QueryPlanner {
     size_t builds_run = 0;
     /// Dependency stages that ran at least one build (<= 3).
     size_t stages_run = 0;
-    /// Candidates whose compiled resolution was served from the memo
-    /// (compile_hits) vs derived fresh (compile_misses); duplicates within
-    /// the batch count as hits after the first occurrence.
-    size_t compile_hits = 0;
-    size_t compile_misses = 0;
     /// Build re-attempts taken under the RetryPolicy (0 without retries).
     size_t build_retries = 0;
     /// Bucket materializations short-circuited because their selection mask
@@ -293,28 +272,9 @@ class QueryPlanner {
   };
   const PlanStats& last_plan_stats() const { return plan_stats_; }
 
-  /// \name Cumulative compile-memo counters across all batches (the bench's
-  /// plan_compile_hit_rate).
-  /// @{
-  size_t compile_cache_hits() const { return compile_cache_hits_; }
-  size_t compile_cache_misses() const { return compile_cache_misses_; }
-  size_t compile_cache_size() const { return compile_cache_.size(); }
-  size_t compile_cache_flushes() const { return compile_cache_flushes_; }
-  /// @}
-
   /// Build re-attempts summed across all batches (PlanStats::build_retries
   /// resets per Prepare; fit-level diagnostics read this).
   size_t build_retries_total() const { return build_retries_total_; }
-
-  /// Entry cap of the compile memo. Shapes are tiny (a handful of strings)
-  /// but content-keyed, so a long-lived planner must not grow without bound
-  /// — the same concern the byte-capped shards and feature cache address.
-  /// When a batch *starts* above the cap the memo is flushed wholesale
-  /// (never mid-batch: resolved shape pointers stay valid for the whole
-  /// Prepare); the next searches simply re-miss.
-  void set_compile_cache_cap_entries(size_t cap) {
-    compile_cache_cap_entries_ = cap;
-  }
 
   /// \name Phase timings of the last EvaluateMany call (bench reporting).
   /// @{
@@ -323,28 +283,6 @@ class QueryPlanner {
   /// @}
 
  private:
-  /// Memoized per-candidate compile resolution: everything derivable from
-  /// the query content alone — validation outcome and the artifact cache
-  /// keys the compile pass interns. Batch-dependent choices (shared-bucket
-  /// materialization, store hits) are *not* cached here; they re-resolve
-  /// each batch against the memoized keys.
-  struct CompiledShape {
-    std::string group_key;
-    /// Indices of non-trivial predicates in the query's predicate list,
-    /// with their cache keys (parallel vectors).
-    std::vector<uint32_t> active_preds;
-    std::vector<std::string> pred_keys;
-    /// Conjunction cache key; empty unless active_preds.size() >= 2.
-    std::string combo_key;
-    /// Bucket key (group keys + agg attribute + predicates).
-    std::string bucket_key;
-  };
-
-  /// Looks up / derives the compiled shape of `q` (validating on a miss)
-  /// and updates the hit/miss counters.
-  Result<const CompiledShape*> ResolveShape(const AggQuery& q,
-                                            const Table& relevant);
-
   /// The morsel size this planner actually runs with: the per-planner
   /// override when non-zero, else the config/env resolution. 0 = in-RAM.
   size_t ResolvedMorselRows() const;
@@ -384,15 +322,9 @@ class QueryPlanner {
   const KernelOps* ops_ = nullptr;
   KernelBackend kernel_backend_ = KernelBackend::kAuto;
   size_t morsel_rows_ = 0;
-  bool morsel_prefetch_ = true;
   MorselExecStats morsel_stats_;
   RetryPolicy retry_;
   PlanStats plan_stats_;
-  std::unordered_map<std::string, CompiledShape> compile_cache_;
-  size_t compile_cache_cap_entries_ = 1u << 16;
-  size_t compile_cache_hits_ = 0;
-  size_t compile_cache_misses_ = 0;
-  size_t compile_cache_flushes_ = 0;
   size_t build_retries_total_ = 0;
   double prepare_seconds_ = 0.0;
   double aggregate_seconds_ = 0.0;

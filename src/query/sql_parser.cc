@@ -277,8 +277,10 @@ class Parser {
   }
 
   Status ErrorAt(const Token& t, const std::string& msg) const {
-    const std::string got =
-        t.kind == TokenKind::kEnd ? "end of input" : "'" + Spelling(t) + "'";
+    std::string got = "end of input";
+    if (t.kind != TokenKind::kEnd) {
+      got.assign(1, '\'').append(Spelling(t)).append(1, '\'');
+    }
     return Status::InvalidArgument(StrFormat("SQL parse error at offset %zu: %s, got %s",
                                              t.pos, msg.c_str(), got.c_str()));
   }

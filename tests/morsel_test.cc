@@ -2,7 +2,7 @@
 /// \brief Pins the out-of-core morsel executor's contract (query/morsel.h):
 /// the row-range partition itself, byte-identity of every aggregate against
 /// the single-pass oracle across morsel sizes and thread counts, boundary-
-/// spanning groups, all-null morsels, prefetch on/off equivalence, isolated
+/// spanning groups, all-null morsels, the one-morsel-in-flight peak, isolated
 /// per-candidate failure, serving-plan identity, the "morsel.build" /
 /// "morsel.merge" fault sites, and the bounded-memory guarantee (a budget
 /// the in-RAM path exhausts while the morsel path fits).
@@ -203,28 +203,59 @@ TEST(MorselTest, EveryAggregateBitIdenticalAcrossMorselSizesAndThreads) {
   }
 }
 
-TEST(MorselTest, PrefetchOffProducesIdenticalBytes) {
-  Rng rng(612);
-  const RandomPair tables = MakeRandomPair(&rng);
-  const std::vector<AggQuery> queries = MakeCandidatePool();
+TEST(MorselTest, PeakHoldsOneMorselInFlight) {
+  // Every group appears in the first morsel, so the combiner state is final
+  // after it and every later morsel is charged on top of the same state.
+  // The peak is then one morsel's artifacts plus that state: a table of two
+  // morsels reaches it, eight morsels must not exceed it, and it stays
+  // below two morsels' artifacts (a second morsel in flight would add one).
+  constexpr size_t kMorselRows = 64;
+  auto make_relevant = [](size_t n) {
+    Table relevant;
+    Column uid(DataType::kInt64), value(DataType::kDouble);
+    for (size_t i = 0; i < n; ++i) {
+      uid.AppendInt(static_cast<int64_t>(i % 4));
+      value.AppendDouble(0.25 * static_cast<double>(i) - 3.0);
+    }
+    EXPECT_TRUE(relevant.AddColumn("uid", std::move(uid)).ok());
+    EXPECT_TRUE(relevant.AddColumn("value", std::move(value)).ok());
+    return relevant;
+  };
 
-  QueryPlanner with_prefetch;
-  with_prefetch.set_morsel_rows(13);
-  auto a = with_prefetch.EvaluateMany(queries, tables.training, tables.relevant);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_GT(with_prefetch.last_morsel_stats().prefetched_builds, 0u);
-
-  QueryPlanner without_prefetch;
-  without_prefetch.set_morsel_rows(13);
-  without_prefetch.set_morsel_prefetch(false);
-  auto b = without_prefetch.EvaluateMany(queries, tables.training,
-                                         tables.relevant);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(without_prefetch.last_morsel_stats().prefetched_builds, 0u);
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectColumnsBitIdentical(b.value()[i], a.value()[i], "prefetch off");
+  // Single-sweep streaming aggregates, one behind a predicate mask.
+  std::vector<AggQuery> queries;
+  for (AggFunction fn : {AggFunction::kCount, AggFunction::kSum,
+                         AggFunction::kAvg, AggFunction::kMax}) {
+    AggQuery q;
+    q.agg = fn;
+    q.agg_attr = "value";
+    q.group_keys = {"uid"};
+    queries.push_back(std::move(q));
   }
+  queries.back().predicates = {Predicate::Range("value", 0.0, std::nullopt)};
+
+  auto peak_of = [&](size_t morsels, const ExecContext* ctx) -> size_t {
+    MorselOptions options;
+    options.morsel_rows = kMorselRows;
+    options.ctx = ctx;
+    auto out = ExecuteMorsels(queries, make_relevant(morsels * kMorselRows),
+                              options);
+    EXPECT_TRUE(out.ok()) << morsels << " morsels: " << out.status().ToString();
+    if (!out.ok()) return 0;
+    EXPECT_EQ(out.value().stats.morsels, morsels);
+    return out.value().stats.peak_artifact_bytes;
+  };
+  const size_t one_morsel = peak_of(1, nullptr);
+  const size_t morsel_plus_state = peak_of(2, nullptr);
+  ASSERT_GT(one_morsel, 0u);
+  EXPECT_EQ(peak_of(8, nullptr), morsel_plus_state);
+  EXPECT_LT(morsel_plus_state, 2 * one_morsel);
+
+  // A budget of exactly that peak is enough for the eight-morsel table.
+  ExecContext bounded;
+  bounded.set_memory_budget_bytes(morsel_plus_state);
+  EXPECT_EQ(peak_of(8, &bounded), morsel_plus_state);
+  EXPECT_EQ(bounded.peak_charged_bytes(), morsel_plus_state);
 }
 
 TEST(MorselTest, GroupsSpanningMorselBoundaries) {
@@ -502,7 +533,7 @@ TEST_F(MorselFaultTest, BuildFaultIsBatchWideEvenWhenIsolated) {
 
 TEST(MorselTest, PeakMemoryBoundedByMorselsNotTable) {
   // A table big enough that whole-table artifacts dominate: the morsel
-  // path's peak (2 in-flight morsels + per-group state) must undercut the
+  // path's peak (1 in-flight morsel + per-group state) must undercut the
   // in-RAM path's, and a budget between the two peaks must pass the morsel
   // path while exhausting the in-RAM one.
   const size_t n = 20000;

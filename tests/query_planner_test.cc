@@ -297,52 +297,7 @@ TEST(QueryPlannerTest, EvictionPinningHoldsUnderParallelPrepare) {
   EXPECT_GT(planner.num_evictions(), 0u);
 }
 
-// --- Compile memoization across overlapping pools ----------------------------
-
-TEST(QueryPlannerTest, CompileMemoServesOverlappingPools) {
-  const Pair tables = MakePair();
-  const Predicate pa = Predicate::Equals("dept", Value::Str("a"));
-  const Predicate pb = Predicate::Range("level", 1.0, 3.0);
-  const std::vector<AggQuery> first_pool = {
-      MakeQuery(AggFunction::kSum, {pa}),
-      MakeQuery(AggFunction::kAvg, {pa}),
-      MakeQuery(AggFunction::kSum, {pa, pb}),
-      MakeQuery(AggFunction::kMedian, {}),
-  };
-  // The HPO-round pattern: the next pool overlaps the previous one.
-  std::vector<AggQuery> second_pool = first_pool;
-  second_pool.push_back(MakeQuery(AggFunction::kMin, {pb}));
-  second_pool.push_back(MakeQuery(AggFunction::kMax, {pa, pb}));
-
-  QueryPlanner planner;
-  auto first = planner.EvaluateMany(first_pool, tables.training, tables.relevant);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(planner.last_plan_stats().compile_hits, 0u);
-  EXPECT_EQ(planner.last_plan_stats().compile_misses, first_pool.size());
-
-  auto second =
-      planner.EvaluateMany(second_pool, tables.training, tables.relevant);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  // The overlap re-resolves from the memo; only the two new candidates
-  // compile fresh.
-  EXPECT_EQ(planner.last_plan_stats().compile_hits, first_pool.size());
-  EXPECT_EQ(planner.last_plan_stats().compile_misses, 2u);
-  EXPECT_EQ(planner.compile_cache_hits(), first_pool.size());
-  EXPECT_EQ(planner.compile_cache_misses(), first_pool.size() + 2u);
-  EXPECT_EQ(planner.compile_cache_size(), first_pool.size() + 2u);
-}
-
-TEST(QueryPlannerTest, DuplicateCandidatesWithinABatchHitTheMemo) {
-  const Pair tables = MakePair();
-  const AggQuery q =
-      MakeQuery(AggFunction::kSum, {Predicate::Equals("dept", Value::Str("b"))});
-  QueryPlanner planner;
-  auto result =
-      planner.EvaluateMany({q, q, q}, tables.training, tables.relevant);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(planner.last_plan_stats().compile_misses, 1u);
-  EXPECT_EQ(planner.last_plan_stats().compile_hits, 2u);
-}
+// --- Re-planning overlapping pools -------------------------------------------
 
 TEST(QueryPlannerTest, WarmRecompileIsByteIdenticalToColdAcrossThreadCounts) {
   const Pair tables = MakePair();
@@ -361,7 +316,6 @@ TEST(QueryPlannerTest, WarmRecompileIsByteIdenticalToColdAcrossThreadCounts) {
   auto reference =
       cold.EvaluateMany(second_pool, tables.training, tables.relevant);
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(cold.compile_cache_hits(), 0u);
 
   for (const int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
@@ -370,13 +324,11 @@ TEST(QueryPlannerTest, WarmRecompileIsByteIdenticalToColdAcrossThreadCounts) {
     auto warmup =
         warm.EvaluateMany(first_pool, tables.training, tables.relevant);
     ASSERT_TRUE(warmup.ok());
+    // The warm re-plan reuses the store's artifacts for the overlap and is
+    // byte-identical to the cold one.
     auto result =
         warm.EvaluateMany(second_pool, tables.training, tables.relevant);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    // The warm re-compile is a memo hit for the overlap...
-    EXPECT_EQ(warm.last_plan_stats().compile_hits, first_pool.size())
-        << threads << " threads";
-    // ...and byte-identical to the cold compile.
     for (size_t i = 0; i < second_pool.size(); ++i) {
       ExpectColumnsBitIdentical(result.value()[i], reference.value()[i],
                                 std::to_string(threads) + " threads, q" +
@@ -385,41 +337,16 @@ TEST(QueryPlannerTest, WarmRecompileIsByteIdenticalToColdAcrossThreadCounts) {
   }
 }
 
-TEST(QueryPlannerTest, CompileMemoIsEntryCapped) {
-  const Pair tables = MakePair();
-  std::vector<AggQuery> pool = {
-      MakeQuery(AggFunction::kSum, {}),
-      MakeQuery(AggFunction::kAvg, {}),
-      MakeQuery(AggFunction::kMin, {}),
-      MakeQuery(AggFunction::kMax, {}),
-  };
-  QueryPlanner planner;
-  planner.set_compile_cache_cap_entries(2);
-  // One batch may exceed the cap (flushes happen between batches only).
-  ASSERT_TRUE(
-      planner.EvaluateMany(pool, tables.training, tables.relevant).ok());
-  EXPECT_EQ(planner.compile_cache_size(), pool.size());
-  EXPECT_EQ(planner.compile_cache_flushes(), 0u);
-  // The next batch starts above the cap: wholesale flush, then re-miss.
-  ASSERT_TRUE(
-      planner.EvaluateMany(pool, tables.training, tables.relevant).ok());
-  EXPECT_EQ(planner.compile_cache_flushes(), 1u);
-  EXPECT_EQ(planner.last_plan_stats().compile_hits, 0u);
-  EXPECT_EQ(planner.last_plan_stats().compile_misses, pool.size());
-}
-
-TEST(QueryPlannerTest, InvalidCandidatesAreNeverMemoized) {
+TEST(QueryPlannerTest, InvalidCandidatesFailOnEveryCall) {
   const Pair tables = MakePair();
   AggQuery bad = MakeQuery(AggFunction::kSum, {});
   bad.agg_attr = "no_such_column";
   QueryPlanner planner;
   EXPECT_FALSE(
       planner.EvaluateMany({bad}, tables.training, tables.relevant).ok());
-  // Validation must run (and fail) again: the memo only holds valid shapes.
+  // Validation runs (and fails) again on the second call.
   EXPECT_FALSE(
       planner.EvaluateMany({bad}, tables.training, tables.relevant).ok());
-  EXPECT_EQ(planner.compile_cache_size(), 0u);
-  EXPECT_EQ(planner.compile_cache_hits(), 0u);
 }
 
 // --- Error propagation from staged builds ------------------------------------
